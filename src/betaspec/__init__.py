@@ -57,7 +57,7 @@ from .charpoly import (
 from .rootfind import (
     RootSet,
     optimal_match_distance,
-    refine_real_root,
+    refine_real_root_reported,
     solve_all,
 )
 from .spectra import (
@@ -71,7 +71,6 @@ from .spectra import (
     condition_bound_check,
     eigenvalues,
     find_outliers,
-    hermitian_jacobi,
     quasi_normality_gap,
     singular_values,
     weyl_sum,

@@ -47,17 +47,16 @@ DET_ORACLE_MAX_ORDER = 12
 
 @dataclass(frozen=True)
 class PrecPoly:
-    """Degree-indexed coefficient vector, exact or at a stated precision.
+    """Degree-indexed coefficient vector, exact or multiprecision.
 
     ``coeffs`` runs low to high.  Exact polynomials hold Fraction or QComplex
-    coefficients; inexact ones hold mpf/mpc created at ``prec`` bits.  When
+    coefficients; inexact ones hold mpf/mpc values.  When
     the polynomial is a characteristic polynomial of the family, ``beta``
     records the parameter so downstream reports can carry provenance.
     """
 
     coeffs: tuple
     exact: bool = True
-    prec: int | None = None
     beta: BetaParam | None = None
 
     def __post_init__(self):
@@ -106,20 +105,17 @@ class PrecPoly:
         return acc
 
     def eval_mp(self, t, bits: int = DEFAULT_PRECISION_BITS):
-        """Horner evaluation at ``bits`` precision; complex t gives mpc."""
+        """Value at t by :func:`mpmath.polyval` at ``bits``; complex t gives mpc."""
         with with_precision(bits):
             tv = mpc_from(t) if isinstance(t, (complex, mp.mpc, QComplex)) else mpf_from(t)
             cs = self.coeffs_mp(real=isinstance(tv, mp.mpf) and self.is_real)
-            acc = cs[-1] * (tv * 0 + 1)
-            for c in reversed(cs[:-1]):
-                acc = acc * tv + c
-            return acc
+            return mp.polyval(cs[::-1], tv)
 
     def derivative(self) -> "PrecPoly":
         if self.degree == 0:
             raise InvalidParameterError("derivative of a constant is the zero polynomial")
         cs = tuple(self.coeffs[k] * k for k in range(1, len(self.coeffs)))
-        return PrecPoly(coeffs=cs, exact=self.exact, prec=self.prec)
+        return PrecPoly(coeffs=cs, exact=self.exact)
 
 
 def charpoly_closed_form(beta: BetaParam, n: int) -> PrecPoly:
@@ -167,8 +163,7 @@ def reverse_poly(poly: PrecPoly) -> PrecPoly:
     """
     if not poly.constant_term:
         raise ZeroRootError("cannot reverse a polynomial with constant term 0")
-    return PrecPoly(coeffs=tuple(reversed(poly.coeffs)), exact=poly.exact,
-                    prec=poly.prec)
+    return PrecPoly(coeffs=tuple(reversed(poly.coeffs)), exact=poly.exact)
 
 
 def poly_to_json(poly: PrecPoly, digits: int = 30) -> str:
@@ -319,7 +314,6 @@ def _zero_poly() -> PrecPoly:
     p = object.__new__(PrecPoly)
     object.__setattr__(p, "coeffs", (Fraction(0),))
     object.__setattr__(p, "exact", True)
-    object.__setattr__(p, "prec", None)
     object.__setattr__(p, "beta", None)
     return p
 

@@ -83,16 +83,26 @@ def _emit(text: str, out: str | None) -> None:
         path.write_text(text)
 
 
-def _common_flags(p: argparse.ArgumentParser, beta=True, nlist=True) -> None:
+# Flags that only some commands read; a command accepts them only if it uses them.
+PREC_COMMANDS = ("singvals", "weyl")
+EXACT_COMMANDS = ("matrix", "charpoly")
+
+
+def _command(sub, name: str, beta=True, nlist=True, **kwargs) -> argparse.ArgumentParser:
+    """Subcommand parser with the shared flags plus the ones from the table above."""
+    p = sub.add_parser(name, **kwargs)
     if beta:
         p.add_argument("--beta", required=True, help="parameter as p/q, decimal, or a+bi")
     if nlist:
         p.add_argument("--n", required=True, help="matrix order, or comma list of orders")
     p.add_argument("--digits", type=int, default=30, help="significant digits target")
-    p.add_argument("--prec", type=int, default=256, help="working precision in bits")
+    if name in PREC_COMMANDS:
+        p.add_argument("--prec", type=int, default=256, help="working precision in bits")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--exact", action="store_true", help="exact p/q output where available")
+    if name in EXACT_COMMANDS:
+        p.add_argument("--exact", action="store_true", help="exact p/q output")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,43 +112,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "arbitrary precision.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("matrix", help="dense matrix export",
-                       epilog="CSV: one matrix row per line.")
-    _common_flags(p)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial coefficients",
-                       epilog="CSV columns: k,coefficient (low to high). JSON: "
-                              "{degree, coeffs, beta, exact}.")
-    _common_flags(p)
-
-    p = sub.add_parser("eigs", help="all eigenvalues with residual certificates",
-                       epilog="CSV columns: re,im,residual. JSON: root report.")
-    _common_flags(p)
-
-    p = sub.add_parser("cluster", help="unit-circle annulus partition counts",
-                       epilog="CSV columns: n,beta,epsilon,inside_count,outside_count.")
-    _common_flags(p)
+    _command(sub, "matrix", help="dense matrix export",
+             epilog="CSV: one matrix row per line.")
+    _command(sub, "charpoly", help="characteristic polynomial coefficients",
+             epilog="CSV columns: k,coefficient (low to high). JSON: "
+                    "{degree, coeffs, beta, exact}.")
+    _command(sub, "eigs", help="all eigenvalues with residual certificates",
+             epilog="CSV columns: re,im,residual. JSON: root report.")
+    p = _command(sub, "cluster", help="unit-circle annulus partition counts",
+                 epilog="CSV columns: n,beta,epsilon,inside_count,outside_count.")
     p.add_argument("--eps", type=float, default=0.05, help="annulus half-width")
-
-    p = sub.add_parser("outliers", help="outlier tracking for beta in (1,2)",
-                       epilog="CSV columns: n,large,small,err_large,err_small.")
-    _common_flags(p)
+    p = _command(sub, "outliers", help="outlier tracking for beta in (1,2)",
+                 epilog="CSV columns: n,large,small,err_large,err_small.")
     p.add_argument("--eps", type=float, default=0.05, help="annulus half-width")
-
-    p = sub.add_parser("singvals", help="singular values, sorted nonincreasing",
-                       epilog="CSV: one singular value per line.")
-    _common_flags(p)
-
-    p = sub.add_parser("weyl", help="averaged test-function distribution sums",
-                       epilog="CSV columns: n,f_id,kind,empirical,reference,gap. "
-                              f"Built-in functions: {', '.join(sorted(BUILTIN_TEST_FUNCTIONS))}.")
-    _common_flags(p)
+    _command(sub, "singvals", help="singular values, sorted nonincreasing",
+             epilog="CSV: one singular value per line.")
+    p = _command(sub, "weyl", help="averaged test-function distribution sums",
+                 epilog="CSV columns: n,f_id,kind,empirical,reference,gap. "
+                        f"Built-in functions: {', '.join(sorted(BUILTIN_TEST_FUNCTIONS))}.")
     p.add_argument("--kind", choices=("eigen", "singular", "both"), default="both")
-
-    p = sub.add_parser("beta1", help="degenerate-parameter (beta=1) analysis",
-                       epilog="CSV columns: n,c0_est,c1_est. JSON adds the "
-                              "exact power-method trace.")
-    _common_flags(p, beta=False)
+    _command(sub, "beta1", beta=False, help="degenerate-parameter (beta=1) analysis",
+             epilog="CSV columns: n,c0_est,c1_est. JSON adds the "
+                    "exact power-method trace.")
 
     p = sub.add_parser("reproduce", help="regenerate reference data files",
                        epilog="Targets: " + ", ".join(REPRODUCE_TARGETS) + ". "

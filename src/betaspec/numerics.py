@@ -181,7 +181,8 @@ def parse_scalar(text: str) -> Fraction | QComplex:
 
 
 def mpf_from(x) -> mp.mpf:
-    """Convert an exact or floating real to mpf at the ambient precision."""
+    """Convert a real scalar, or a complex one with imaginary part 0, to mpf
+    at the ambient precision."""
     if isinstance(x, mp.mpf):
         return +x
     if isinstance(x, Fraction):
@@ -192,6 +193,8 @@ def mpf_from(x) -> mp.mpf:
         return mp.mpf(x)
     if isinstance(x, QComplex) and x.is_real:
         return mpf_from(x.re)
+    if isinstance(x, mp.mpc) and x.imag == 0:
+        return +x.real
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 

@@ -92,16 +92,6 @@ def _sort_key(z, im_snap):
     return (arg, abs(z))
 
 
-def _horner_pair(cs, dcs, x):
-    p = cs[-1]
-    for c in reversed(cs[:-1]):
-        p = p * x + c
-    dp = dcs[-1]
-    for c in reversed(dcs[:-1]):
-        dp = dp * x + c
-    return p, dp
-
-
 def _circle_guesses(cs, d):
     cmax = max(abs(c) for c in cs[:-1])
     radius = 1 + cmax / abs(cs[-1])
@@ -161,14 +151,16 @@ def _float_warm_start(coeffs) -> list | None:
     return list(z)
 
 
-def _aberth_level(cs, dcs, z, prec, conv_shift=32, max_sweeps=MAX_SWEEPS_PER_LEVEL):
+def _aberth_level(hi, dhi, z, prec, conv_shift=32, max_sweeps=MAX_SWEEPS_PER_LEVEL):
     """Gauss-Seidel Ehrlich-Aberth sweeps at one precision level.
 
-    Returns (roots, sweeps, converged).  A root freezes once its relative
-    correction drops below 2**-(prec - conv_shift); frozen roots still
-    contribute to the repulsion sums of the active ones.
+    ``hi`` and ``dhi`` are the coefficients of p and p' from the highest
+    degree down, as :func:`mpmath.polyval` takes them.  Returns (roots,
+    sweeps, converged).  A root freezes once its relative correction drops
+    below 2**-(prec - conv_shift); frozen roots still contribute to the
+    repulsion sums of the active ones.
     """
-    d = len(cs) - 1
+    d = len(hi) - 1
     conv_tol = mp.mpf(2) ** (-(prec - conv_shift))
     converged = [False] * d
     sweeps = 0
@@ -180,7 +172,8 @@ def _aberth_level(cs, dcs, z, prec, conv_shift=32, max_sweeps=MAX_SWEEPS_PER_LEV
                 continue
             active += 1
             x = z[j]
-            p, dp = _horner_pair(cs, dcs, x)
+            p = mp.polyval(hi, x)
+            dp = mp.polyval(dhi, x)
             if p == 0:
                 converged[j] = True
                 continue
@@ -207,6 +200,7 @@ def _certificates(poly, roots, prec, target_digits):
     """Residuals |p(z)|/|c_d| and their certificate thresholds at prec."""
     with with_precision(prec):
         cs = [mpc_from(c) for c in poly.coeffs]
+        hi = cs[::-1]
         lead = abs(cs[-1])
         cscale = max(mp.mpf(1), max(abs(c) for c in cs[:-1]) / lead)
         tol = mp.mpf(10) ** (-target_digits)
@@ -214,10 +208,7 @@ def _certificates(poly, roots, prec, target_digits):
         residuals = []
         thresholds = []
         for z in roots:
-            p = cs[-1]
-            for c in reversed(cs[:-1]):
-                p = p * z + c
-            residuals.append(abs(p) / lead)
+            residuals.append(abs(mp.polyval(hi, z)) / lead)
             thresholds.append(tol * (1 + abs(z)) ** d * cscale)
         return residuals, thresholds
 
@@ -254,14 +245,15 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     for prec in PRECISION_LADDER:
         with with_precision(prec + 32):
             cs = poly.coeffs_mp(real=False)
-            dcs = [cs[k] * k for k in range(1, d + 1)]
+            hi = cs[::-1]
+            dhi = [cs[k] * k for k in range(d, 0, -1)]
             if prev_roots is not None:
                 z = [mp.mpc(r) for r in prev_roots]
             elif seeds is not None:
                 z = [mp.mpc(s) for s in seeds]
             else:
                 z = _circle_guesses(cs, d)
-            z, sweeps, ok = _aberth_level(cs, dcs, z, prec)
+            z, sweeps, ok = _aberth_level(hi, dhi, z, prec)
         total_sweeps += sweeps
         best = z
         if ok and prev_ok:
@@ -305,44 +297,45 @@ def _as_complex(c):
 REFINE_LADDER = (256, 512, 1024, 2048, 4096, 8192)
 
 
-def refine_real_root(poly: PrecPoly, seed, target_digits: int,
-                     max_steps_per_level: int = 200) -> mp.mpf:
-    """Polish one real root by Newton iteration at escalating precision.
-
-    The seed must lie in the Newton basin of a real simple root.  Returns an
-    mpf with |p(result)| <= 10**-target_digits, confirmed by agreement of two
-    successive precision levels to the digit target.
-    """
-    return refine_real_root_reported(poly, seed, target_digits,
-                                     max_steps_per_level)[0]
-
-
 def refine_real_root_reported(poly: PrecPoly, seed, target_digits: int,
                               max_steps_per_level: int = 200) -> tuple[mp.mpf, int]:
-    """Same as :func:`refine_real_root` but also reports the bits used."""
+    """Polish one real root by Newton iteration at escalating precision.
+
+    The seed must lie in the Newton basin of a real simple root.  Returns
+    ``(root, bits)``: an mpf with |p(root)| <= 10**-target_digits, confirmed
+    by agreement of two successive precision levels to the digit target, and
+    the level at which they agreed.  A seed outside the basin raises
+    :class:`RefinementFailureError` (the iterate left the root region, the
+    derivative vanished, or Newton never settled at the top level); a root
+    that settles but needs more bits than ``REFINE_LADDER`` offers raises
+    :class:`ConvergenceFailureError` with the last iterate in ``best``.
+    """
     if target_digits < 1:
         raise InvalidParameterError("target_digits must be >= 1")
     if not poly.is_real:
-        raise InvalidParameterError("refine_real_root requires real coefficients")
+        raise InvalidParameterError("real-root refinement requires real coefficients")
     d = poly.degree
     if d < 1:
         raise InvalidParameterError("polynomial degree must be >= 1")
     if d == 1:
         prec = max(256, 4 * target_digits)
         with with_precision(prec):
-            root = -mpf_from(_real_part(poly.coeffs[0])) / mpf_from(_real_part(poly.coeffs[1]))
-            return root, prec
+            c0, c1 = poly.coeffs_mp(real=True)
+            return -c0 / c1, prec
 
     prev = None
     for prec in REFINE_LADDER:
         with with_precision(prec + 32):
-            cs = [mpf_from(_real_part(c)) for c in poly.coeffs]
-            dcs = [cs[k] * k for k in range(1, d + 1)]
+            cs = poly.coeffs_mp(real=True)
+            hi = cs[::-1]
+            dhi = [cs[k] * k for k in range(d, 0, -1)]
             runaway = 100 * (1 + max(abs(c) for c in cs[:-1]) / abs(cs[-1]))
             x = mp.mpf(prev) if prev is not None else mpf_from(_to_real_seed(seed))
             step_tol = mp.mpf(2) ** (-(prec - 24))
+            settled = False
             for _ in range(max_steps_per_level):
-                p, dp = _horner_pair(cs, dcs, x)
+                p = mp.polyval(hi, x)
+                dp = mp.polyval(dhi, x)
                 if dp == 0:
                     raise RefinementFailureError(
                         "derivative vanished during Newton refinement")
@@ -352,24 +345,21 @@ def refine_real_root_reported(poly: PrecPoly, seed, target_digits: int,
                     raise RefinementFailureError(
                         "Newton iteration left the root region (seed outside basin?)")
                 if abs(step) <= step_tol * (1 + abs(x)):
+                    settled = True
                     break
-            pv = abs(_horner_pair(cs, dcs, x)[0])
+            pv = abs(mp.polyval(hi, x))
             tol = mp.mpf(10) ** (-target_digits)
             if pv <= tol and prev is not None and \
                     abs(x - prev) <= tol * (1 + abs(x)):
                 return x, prec
             prev = x
-    raise RefinementFailureError(
+    if not settled:
+        raise RefinementFailureError(
+            f"Newton iteration did not settle within {max_steps_per_level} steps "
+            f"at {REFINE_LADDER[-1]} bits (seed outside basin?)")
+    raise ConvergenceFailureError(
         f"Newton refinement did not certify {target_digits} digits within "
-        f"the precision ladder {REFINE_LADDER}")
-
-
-def _real_part(c):
-    if isinstance(c, (int, Fraction, mp.mpf)):
-        return c
-    if isinstance(c, mp.mpc):
-        return c.real
-    return c.re
+        f"the precision ladder {REFINE_LADDER}", best=prev)
 
 
 def _to_real_seed(seed):

@@ -5,9 +5,10 @@ circle.  For beta >= 2 no eigenvalue stays away from the circle as the order
 grows; for beta in (1, 2) exactly two real positive outliers persist, with
 limits beta - 1 (inside) and 1/(beta - 1) (outside).  This module measures
 all of that on computed spectra: annulus partition counts, outlier tracking
-with errors to the limits, singular values, averaged test-function sums
-against the circle average (eigenvalues) or the constant 1 (singular
-values), the quasi-normality gap, and the spectral-norm conditioning bound.
+with errors to the limits, singular values from the low-rank structure of
+the Gram matrix B*B, averaged test-function sums against the circle average
+(eigenvalues) or the constant 1 (singular values), the quasi-normality gap,
+and the spectral-norm conditioning bound.
 
 Pairing convention: the quasi-normality gap compares the full sorted lists
 of singular values and eigenvalue moduli index by index over 1..n; that
@@ -26,10 +27,10 @@ import mpmath as mp
 import numpy as np
 
 from .errors import (
-    ConvergenceFailureError,
     InconsistencyError,
     InvalidOrderError,
     InvalidParameterError,
+    RefinementFailureError,
     SingularityError,
     UnknownTestFunctionError,
 )
@@ -180,7 +181,7 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     def _try(seed, limit):
         try:
             x, prec = refine_real_root_reported(poly, seed, target_digits)
-        except Exception:
+        except RefinementFailureError:
             return None, None, None
         with with_precision(max(DEFAULT_PRECISION_BITS, 4 * target_digits)):
             if x <= 0 or abs(abs(x) - 1) <= mpf_from(annulus_eps):
@@ -211,59 +212,6 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
 # Singular values
 # ---------------------------------------------------------------------------
 
-def hermitian_jacobi(matrix: Sequence[Sequence], bits: int = DEFAULT_PRECISION_BITS,
-                     max_sweeps: int = 60) -> list:
-    """Eigenvalues of a Hermitian matrix by cyclic two-sided Jacobi rotations.
-
-    Runs at ``bits`` precision until the off-diagonal norm falls below
-    2**-(bits-8) relative to the diagonal scale.  Returns eigenvalues in
-    nondecreasing order.  Dense O(n^3) per sweep: intended for the small
-    projected blocks and cross-check-sized matrices.
-    """
-    n = len(matrix)
-    if n == 0 or any(len(r) != n for r in matrix):
-        raise InvalidParameterError("jacobi eigensolve requires a square matrix")
-    with with_precision(bits):
-        a = [[mpc_from(x) for x in row] for row in matrix]
-        if n == 1:
-            return [a[0][0].real]
-        tol = mp.mpf(2) ** (-(bits - 8))
-        for _ in range(max_sweeps):
-            off = mp.mpf(0)
-            scale = mp.mpf(1)
-            for p in range(n):
-                scale = max(scale, abs(a[p][p]))
-                for q in range(p + 1, n):
-                    off = max(off, abs(a[p][q]))
-            if off <= tol * scale:
-                return sorted(a[i][i].real for i in range(n))
-            thresh = tol * scale / n
-            for p in range(n):
-                for q in range(p + 1, n):
-                    apq = a[p][q]
-                    if abs(apq) <= thresh:
-                        continue
-                    app = a[p][p].real
-                    aqq = a[q][q].real
-                    phase = apq / abs(apq)
-                    tau = (aqq - app) / (2 * abs(apq))
-                    t = (1 if tau >= 0 else -1) / (abs(tau) + mp.sqrt(1 + tau * tau))
-                    c = 1 / mp.sqrt(1 + t * t)
-                    s = t * c
-                    for k in range(n):
-                        akp = a[k][p]
-                        akq = a[k][q]
-                        a[k][p] = c * akp - s * mp.conj(phase) * akq
-                        a[k][q] = s * phase * akp + c * akq
-                    for k in range(n):
-                        apk = a[p][k]
-                        aqk = a[q][k]
-                        a[p][k] = c * apk - s * phase * aqk
-                        a[q][k] = s * mp.conj(phase) * apk + c * aqk
-        raise ConvergenceFailureError(
-            f"jacobi eigensolve did not converge in {max_sweeps} sweeps")
-
-
 def _gram_apply(w, c, x):
     """Apply B*B = diag(1,..,1,0) + w e^T + e w* + c e e^T to x, O(n)."""
     n = len(x)
@@ -274,43 +222,25 @@ def _gram_apply(w, c, x):
     return out
 
 
-def singular_values(beta: BetaParam, n: int, bits: int = DEFAULT_PRECISION_BITS,
-                    method: str = "structured") -> list:
+def singular_values(beta: BetaParam, n: int, bits: int = DEFAULT_PRECISION_BITS) -> list:
     """Singular values of the order-n member, sorted nonincreasing.
 
-    Both methods are symmetric eigensolves of the Gram matrix B*B at working
-    precision, finished by two-sided Jacobi:
-
-    * ``structured`` (default): B*B differs from diag(1,...,1,0) by a rank-2
-      correction spanned by the all-ones vector e and the shifted correction
-      w, so the orthogonal complement of span{e, w, e_n} is an exact
-      eigenspace with eigenvalue 1.  Jacobi runs on the projected block of
-      size <= 3 -- O(n) total work, exact same spectrum as the dense solve.
-      For n >= 3, e, w and e_n are independent unless beta = 1, so exactly
-      n - 3 values equal 1 when beta != 1, and n - 2 when beta = 1 (where
-      w = e - e_n).
-    * ``jacobi``: dense cyclic Jacobi on B*B, kept as the independent route
-      for cross-checks at small n (O(n^3) per sweep in mp arithmetic).
+    B*B differs from diag(1,...,1,0) by a rank-2 correction spanned by the
+    all-ones vector e and the shifted correction w, so the orthogonal
+    complement of span{e, w, e_n} is an exact eigenspace with eigenvalue 1.
+    The Gram matrix projected onto that span is a Hermitian block of size
+    <= 3, diagonalised by :func:`mpmath.eighe` at ``bits`` precision: O(n)
+    total work, the same spectrum as a dense solve.  For n >= 3, e, w and
+    e_n are independent unless beta = 1, so exactly n - 3 values equal 1
+    when beta != 1, and n - 2 when beta = 1 (where w = e - e_n).
     """
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
-    if method not in ("structured", "jacobi"):
-        raise InvalidParameterError(f"unknown singular value method {method!r}")
     with with_precision(bits):
         inv_powers = beta.inverse_powers(n)
         u = [mpc_from(inv_powers[j]) - (1 if j == 0 else 0) for j in range(n)]
         if n == 1:
             return [abs(u[0])]
-
-        if method == "jacobi":
-            b_mat = [[mp.mpc(0)] * n for _ in range(n)]
-            for s_ in range(n):
-                for t_ in range(n):
-                    b_mat[s_][t_] = u[s_] + (1 if s_ - t_ == 1 else 0)
-            g = [[sum(mp.conj(b_mat[k][i]) * b_mat[k][j] for k in range(n))
-                  for j in range(n)] for i in range(n)]
-            evs = hermitian_jacobi(g, bits)
-            return sorted((mp.sqrt(max(ev, mp.mpf(0))) for ev in evs), reverse=True)
 
         w = [u[j + 1] for j in range(n - 1)] + [mp.mpc(0)]
         c = sum(abs(x) ** 2 for x in u)
@@ -330,7 +260,7 @@ def singular_values(beta: BetaParam, n: int, bits: int = DEFAULT_PRECISION_BITS,
         images = [_gram_apply(w, c, b) for b in basis]
         block = [[sum(mp.conj(basis[i][t]) * images[j][t] for t in range(n))
                   for j in range(k)] for i in range(k)]
-        evs = hermitian_jacobi(block, bits)
+        evs = mp.eighe(mp.matrix(block), eigvals_only=True)
         sv = [mp.sqrt(max(ev, mp.mpf(0))) for ev in evs]
         return sorted(sv + [mp.mpf(1)] * (n - k), reverse=True)
 

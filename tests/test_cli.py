@@ -1,4 +1,5 @@
 """Command-line contract: schemas, exit codes, determinism."""
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,18 @@ import pytest
 from betaspec.cli import build_parser, run
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
+
+# sha256 of the files three reference commands write ("{out}" is a fresh
+# directory).  A deliberate change to the output must update these hashes and
+# say why in CHANGES.md; any other change to them is a regression.
+REFERENCE_OUTPUTS = (
+    (("reproduce", "fig3", "--n", "50", "--out", "{out}"), "fig3_n50.csv",
+     "f7db7ec663007937aabefd9892ff6491e18911e1729ef0edc7dc872131214013"),
+    (("singvals", "--beta=1+1i", "--n", "12", "--digits", "60", "--out", "{out}/sv.csv"),
+     "sv.csv", "cfba90c3edc572ebe1cf7907386ece1344cde4a05f37f5cae665ac869154327f"),
+    (("outliers", "--beta=4/3", "--n", "60", "--digits", "60", "--out", "{out}/out.csv"),
+     "out.csv", "c56edb9238b670dcb5e20bbb1efcf5b82047e6b0f609ff50f74cd25fd7dfaca2"),
+)
 
 
 def _run(capsys, *argv):
@@ -126,6 +139,28 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         run(["eigs", "--beta", "3", "--n", "4", "--frobnicate"])
     assert exc.value.code == 2
+    # --prec and --exact are accepted only by the commands that read them
+    with pytest.raises(SystemExit) as exc:
+        run(["eigs", "--beta", "3", "--n", "4", "--prec", "512"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["cluster", "--beta", "3", "--n", "4", "--exact"])
+    assert exc.value.code == 2
+
+
+def test_charpoly_exact_csv(capsys):
+    code, out, _ = _run(capsys, "charpoly", "--beta", "4/3", "--n", "3", "--exact")
+    assert code == 0
+    assert out.splitlines() == ["k,coefficient", "0,1/4", "1,-5/16", "2,-47/64", "3,1"]
+
+
+def test_outliers_ladder_exhaustion_exits_1(monkeypatch, capsys):
+    # the outlier near 8 needs about n * log2(8) bits, more than 512
+    monkeypatch.setattr("betaspec.rootfind.REFINE_LADDER", (256, 512))
+    code, out, err = _run(capsys, "outliers", "--beta=9/8", "--n", "200")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ConvergenceFailureError"
 
 
 def test_determinism_byte_identical(tmp_path, capsys):
@@ -182,3 +217,10 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "outlier_digits.csv").read_text()
     assert REFERENCE_N50 in text
+
+
+@pytest.mark.parametrize("argv,name,digest", REFERENCE_OUTPUTS,
+                         ids=[argv[0] for argv, _, _ in REFERENCE_OUTPUTS])
+def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
+    assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -13,7 +13,7 @@ from betaspec import (
     build_beta_matrix,
     charpoly_closed_form,
     optimal_match_distance,
-    refine_real_root,
+    refine_real_root_reported,
     reverse_poly,
     solve_all,
 )
@@ -92,7 +92,7 @@ def test_solve_inexact_coefficients():
     # mpf-coefficient polynomial (t - 1/4)(t - 4) built at 256 bits
     with mp.workprec(256):
         coeffs = (mp.mpf(1), -mp.mpf("4.25"), mp.mpf(1))
-    p = PrecPoly(coeffs=coeffs, exact=False, prec=256)
+    p = PrecPoly(coeffs=coeffs, exact=False)
     rs = solve_all(p, 30)
     with mp.workprec(300):
         got = sorted(z.real for z in rs.roots)
@@ -139,14 +139,14 @@ def test_root_report_schema():
 def test_refine_reference_value_from_seed():
     beta = BetaParam.parse("4/3")
     p = charpoly_closed_form(beta, 50)
-    x = refine_real_root(p, 3.0, 50)
+    x = refine_real_root_reported(p, 3.0, 50)[0]
     assert mp.nstr(x, 51) == REFERENCE_N50
 
 
 def test_refine_near_interior_limit():
     beta = BetaParam.parse("4/3")
     p = charpoly_closed_form(beta, 60)
-    x = refine_real_root(p, Fraction(1, 3), 40)
+    x = refine_real_root_reported(p, Fraction(1, 3), 40)[0]
     with mp.workprec(300):
         assert abs(x - mp.mpf(1) / 3) < 1e-10
 
@@ -154,13 +154,13 @@ def test_refine_near_interior_limit():
 def test_refine_degree_one_exact():
     beta = BetaParam.parse("2")
     p = charpoly_closed_form(beta, 1)
-    assert refine_real_root(p, 100.0, 30) == mp.mpf(-0.5)
+    assert refine_real_root_reported(p, 100.0, 30)[0] == mp.mpf(-0.5)
 
 
 def test_refine_no_real_root_fails():
     p = PrecPoly(coeffs=(Fraction(1), Fraction(0), Fraction(1)))  # t^2 + 1
     with pytest.raises(RefinementFailureError):
-        refine_real_root(p, 0.5, 20)
+        refine_real_root_reported(p, 0.5, 20)[0]
 
 
 def test_sorted_by_argument():

@@ -16,7 +16,6 @@ from betaspec import (
     condition_bound_check,
     eigenvalues,
     find_outliers,
-    hermitian_jacobi,
     quasi_normality_gap,
     singular_values,
     weyl_sum,
@@ -91,6 +90,17 @@ def test_find_outliers_below_clustering_onset():
     assert not rec.count_verified
 
 
+def test_find_outliers_ladder_exhaustion_raises(monkeypatch):
+    # the outlier near 8 needs about n * log2(8) bits, more than 512: running
+    # out of the ladder is a failure, not an outlier missing from the report
+    from betaspec import ConvergenceFailureError
+
+    monkeypatch.setattr("betaspec.rootfind.REFINE_LADDER", (256, 512))
+    with pytest.raises(ConvergenceFailureError) as exc:
+        find_outliers(BetaParam.parse("9/8"), 200, 30, verify=False)
+    assert exc.value.best is not None
+
+
 def test_cluster_count_at_order_200():
     rep = cluster_count(eigenvalues(BetaParam.parse("4/3"), 200, 30), 0.1)
     assert rep.outside_count == 2
@@ -129,22 +139,16 @@ def test_singular_values_bracket_spectral_radius():
 @pytest.mark.parametrize("n", [2, 3, 5, 12])
 def test_structured_equals_dense_jacobi_and_lapack(beta_s, n):
     beta = BetaParam.parse(beta_s)
-    a = singular_values(beta, n, method="structured")
-    b = singular_values(beta, n, method="jacobi")
-    assert max(abs(x - y) for x, y in zip(a, b)) < 1e-60
+    a = singular_values(beta, n)
+    # independent route: mp.eighe on the dense Gram matrix B*B at 256 bits
+    with mp.workprec(256):
+        dense_b = mp.matrix(build_beta_matrix(beta, n).dense_mp(256))
+        evs = mp.eighe(dense_b.H * dense_b, eigvals_only=True)
+        b = sorted((mp.sqrt(max(ev, 0)) for ev in evs), reverse=True)
+        assert max(abs(x - y) for x, y in zip(a, b)) < 1e-60
     dense = build_beta_matrix(beta, n).dense_numpy()
     ref = sorted(np.linalg.svd(dense, compute_uv=False).tolist(), reverse=True)
     assert max(abs(float(x) - y) for x, y in zip(a, ref)) < 1e-12
-
-
-def test_hermitian_jacobi_against_library_solver():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = (m + m.conj().T) / 2
-    mine = hermitian_jacobi([[mp.mpc(x) for x in row] for row in h], 128)
-    with mp.workprec(128):
-        ref = mp.eighe(mp.matrix(h.tolist()), eigvals_only=True)
-        assert max(abs(a - b) for a, b in zip(mine, ref)) < 1e-30
 
 
 def test_weyl_constant_window_gap_zero():
