@@ -39,6 +39,7 @@ from .numerics import (
     decimal_str,
     mpc_from,
     mpf_from,
+    polyval,
     with_precision,
 )
 
@@ -62,8 +63,9 @@ class PrecPoly:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise InvalidParameterError("polynomial needs at least one coefficient")
-        if not self.coeffs[-1]:
-            raise InvalidParameterError("leading coefficient must be nonzero")
+        if not self.coeffs[-1] and len(self.coeffs) > 1:
+            raise InvalidParameterError(
+                "leading coefficient must be nonzero (only the constant 0 may be zero)")
 
     @property
     def degree(self) -> int:
@@ -105,11 +107,12 @@ class PrecPoly:
         return acc
 
     def eval_mp(self, t, bits: int = DEFAULT_PRECISION_BITS):
-        """Value at t by :func:`mpmath.polyval` at ``bits``; complex t gives mpc."""
+        """Value at t by :func:`~betaspec.numerics.polyval` at ``bits``; complex
+        t, or real t with complex coefficients, gives mpc."""
         with with_precision(bits):
             tv = mpc_from(t) if isinstance(t, (complex, mp.mpc, QComplex)) else mpf_from(t)
             cs = self.coeffs_mp(real=isinstance(tv, mp.mpf) and self.is_real)
-            return mp.polyval(cs[::-1], tv)
+            return polyval(cs[::-1], tv)
 
     def derivative(self) -> "PrecPoly":
         if self.degree == 0:
@@ -295,7 +298,7 @@ def det_oracle(matrix: Sequence[Sequence]) -> PrecPoly:
                     sign = -sign
                     break
             else:
-                return _zero_poly()
+                return PrecPoly((Fraction(0),))
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
@@ -305,17 +308,8 @@ def det_oracle(matrix: Sequence[Sequence]) -> PrecPoly:
     if sign < 0:
         det = -det
     if det.is_zero():
-        return _zero_poly()
+        return PrecPoly((Fraction(0),))
     return PrecPoly(coeffs=tuple(det.c), exact=True)
-
-
-def _zero_poly() -> PrecPoly:
-    # degree-0 zero determinant; bypass the nonzero-leading check deliberately
-    p = object.__new__(PrecPoly)
-    object.__setattr__(p, "coeffs", (Fraction(0),))
-    object.__setattr__(p, "exact", True)
-    object.__setattr__(p, "beta", None)
-    return p
 
 
 def aux_matrix_symbolic(n: int) -> list[list[_RatPoly]]:

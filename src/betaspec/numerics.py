@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, TypeVar
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpc_add, mpc_mul, mpf_add, mpf_mul
 
 from .errors import InvalidParameterError, PrecisionError
 
@@ -186,7 +187,13 @@ def mpf_from(x) -> mp.mpf:
     if isinstance(x, mp.mpf):
         return +x
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
+        # num / (odd * 2**s) as (num / odd) * 2**-s.  Scaling by a power of
+        # two is exact, so this rounds exactly as mp.mpf(num) / den does; but
+        # dividing by den itself makes mpmath strip den's trailing zero bits
+        # a byte at a time, shifting the whole integer each time (quadratic).
+        den = x.denominator
+        s = (den & -den).bit_length() - 1
+        return mp.ldexp(mp.mpf(x.numerator) / (den >> s), -s)
     if isinstance(x, int):
         return mp.mpf(x)
     if isinstance(x, float):
@@ -207,6 +214,35 @@ def mpc_from(x) -> mp.mpc:
     if isinstance(x, complex):
         return mp.mpc(x)
     return mp.mpc(mpf_from(x))
+
+
+def polyval(hi, x):
+    """Value at ``x`` of the polynomial with coefficients ``hi``, highest
+    degree first, at the ambient precision.
+
+    Runs the operation sequence of :func:`mpmath.polyval`, ``p = c + x*p``,
+    on the raw libmp tuples, so every step is the same correctly rounded
+    operation and the result is the same value, without mpmath's per-scalar
+    dispatch.  ``x`` and the coefficients are mpf or mpc; if any is complex,
+    all are evaluated as mpc.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    if isinstance(x, mp.mpf) and all(isinstance(c, mp.mpf) for c in hi):
+        mul, add = mpf_mul, mpf_add
+        xv = x._mpf_
+        cs = [c._mpf_ for c in hi]
+    else:
+        mul, add = mpc_mul, mpc_add
+        xv = _mpc_tuple(x)
+        cs = [_mpc_tuple(c) for c in hi]
+    p = cs[0]
+    for c in cs[1:]:
+        p = add(c, mul(xv, p, prec, rnd), prec, rnd)
+    return mp.make_mpf(p) if mul is mpf_mul else mp.make_mpc(p)
+
+
+def _mpc_tuple(x) -> tuple:
+    return x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)
 
 
 def fraction_from_mpf(x: mp.mpf) -> Fraction:

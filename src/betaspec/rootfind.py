@@ -17,12 +17,15 @@ digit strings: everything is sequential and deterministic.
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fone, mpc_add, mpc_mpf_div, mpc_sub
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
@@ -32,7 +35,9 @@ from .errors import (
 )
 from .charpoly import PrecPoly
 from .matrices import BetaParam
-from .numerics import QComplex, decimal_str, mpc_from, mpf_from, with_precision
+from .numerics import QComplex, decimal_str, mpc_from, mpf_from, polyval, with_precision
+
+log = logging.getLogger("betaspec")
 
 PRECISION_LADDER = (256, 512, 1024, 2048)
 MAX_SWEEPS_PER_LEVEL = 500
@@ -155,13 +160,18 @@ def _aberth_level(hi, dhi, z, prec, conv_shift=32, max_sweeps=MAX_SWEEPS_PER_LEV
     """Gauss-Seidel Ehrlich-Aberth sweeps at one precision level.
 
     ``hi`` and ``dhi`` are the coefficients of p and p' from the highest
-    degree down, as :func:`mpmath.polyval` takes them.  Returns (roots,
-    sweeps, converged).  A root freezes once its relative correction drops
-    below 2**-(prec - conv_shift); frozen roots still contribute to the
-    repulsion sums of the active ones.
+    degree down, as :func:`polyval` takes them.  Returns (roots, sweeps,
+    converged).  A root freezes once its relative correction drops below
+    2**-(prec - conv_shift); frozen roots still contribute to the repulsion
+    sums of the active ones.  The O(d) repulsion sum runs on the raw libmp
+    tuples of the iterates, with the operations ``s += 1 / (x - z_k)`` makes.
     """
     d = len(hi) - 1
+    wprec, rnd = mp.mp._prec_rounding
     conv_tol = mp.mpf(2) ** (-(prec - conv_shift))
+    tie = mp.mpc(conv_tol, conv_tol)._mpc_
+    zero = mp.mpc(0)._mpc_
+    zt = [x._mpc_ for x in z]
     converged = [False] * d
     sweeps = 0
     for sweep in range(max_sweeps):
@@ -171,29 +181,31 @@ def _aberth_level(hi, dhi, z, prec, conv_shift=32, max_sweeps=MAX_SWEEPS_PER_LEV
             if converged[j]:
                 continue
             active += 1
-            x = z[j]
-            p = mp.polyval(hi, x)
-            dp = mp.polyval(dhi, x)
+            xt = zt[j]
+            x = mp.make_mpc(xt)
+            p = polyval(hi, x)
+            dp = polyval(dhi, x)
             if p == 0:
                 converged[j] = True
                 continue
             w = p / dp if dp != 0 else mp.mpc(1) / d
-            s = mp.mpc(0)
+            s = zero
             for k in range(d):
                 if k == j:
                     continue
-                dz = x - z[k]
-                if dz == 0:
-                    dz = mp.mpc(conv_tol, conv_tol)
-                s += 1 / dz
-            denom = 1 - w * s
+                dz = mpc_sub(xt, zt[k], wprec, rnd)
+                if dz == zero:
+                    dz = tie
+                s = mpc_add(s, mpc_mpf_div(fone, dz, wprec, rnd), wprec, rnd)
+            denom = 1 - w * mp.make_mpc(s)
             delta = w / denom if denom != 0 else w
-            z[j] = x - delta
-            if abs(delta) <= conv_tol * (1 + abs(z[j])):
+            znew = x - delta
+            zt[j] = znew._mpc_
+            if abs(delta) <= conv_tol * (1 + abs(znew)):
                 converged[j] = True
         if active == 0:
-            return z, sweeps, True
-    return z, sweeps, all(converged)
+            return [mp.make_mpc(t) for t in zt], sweeps, True
+    return [mp.make_mpc(t) for t in zt], sweeps, all(converged)
 
 
 def _certificates(poly, roots, prec, target_digits):
@@ -208,7 +220,7 @@ def _certificates(poly, roots, prec, target_digits):
         residuals = []
         thresholds = []
         for z in roots:
-            residuals.append(abs(mp.polyval(hi, z)) / lead)
+            residuals.append(abs(polyval(hi, z)) / lead)
             thresholds.append(tol * (1 + abs(z)) ** d * cscale)
         return residuals, thresholds
 
@@ -243,6 +255,7 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     total_sweeps = 0
     best = None
     for prec in PRECISION_LADDER:
+        started = time.perf_counter()
         with with_precision(prec + 32):
             cs = poly.coeffs_mp(real=False)
             hi = cs[::-1]
@@ -254,6 +267,8 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
             else:
                 z = _circle_guesses(cs, d)
             z, sweeps, ok = _aberth_level(hi, dhi, z, prec)
+        log.debug("solve_all degree=%d level: bits=%d sweeps=%d converged=%s "
+                  "seconds=%.6f", d, prec, sweeps, ok, time.perf_counter() - started)
         total_sweeps += sweeps
         best = z
         if ok and prev_ok:
@@ -325,6 +340,7 @@ def refine_real_root_reported(poly: PrecPoly, seed, target_digits: int,
 
     prev = None
     for prec in REFINE_LADDER:
+        started = time.perf_counter()
         with with_precision(prec + 32):
             cs = poly.coeffs_mp(real=True)
             hi = cs[::-1]
@@ -333,9 +349,10 @@ def refine_real_root_reported(poly: PrecPoly, seed, target_digits: int,
             x = mp.mpf(prev) if prev is not None else mpf_from(_to_real_seed(seed))
             step_tol = mp.mpf(2) ** (-(prec - 24))
             settled = False
-            for _ in range(max_steps_per_level):
-                p = mp.polyval(hi, x)
-                dp = mp.polyval(dhi, x)
+            steps = 0
+            for steps in range(1, max_steps_per_level + 1):
+                p = polyval(hi, x)
+                dp = polyval(dhi, x)
                 if dp == 0:
                     raise RefinementFailureError(
                         "derivative vanished during Newton refinement")
@@ -347,7 +364,10 @@ def refine_real_root_reported(poly: PrecPoly, seed, target_digits: int,
                 if abs(step) <= step_tol * (1 + abs(x)):
                     settled = True
                     break
-            pv = abs(mp.polyval(hi, x))
+            log.debug("refine degree=%d level: bits=%d newton_steps=%d settled=%s "
+                      "seconds=%.6f", d, prec, steps, settled,
+                      time.perf_counter() - started)
+            pv = abs(polyval(hi, x))
             tol = mp.mpf(10) ** (-target_digits)
             if pv <= tol and prev is not None and \
                     abs(x - prev) <= tol * (1 + abs(x)):

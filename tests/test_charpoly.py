@@ -87,6 +87,15 @@ def test_oracle_base_case_and_limits():
         det_oracle([[(0, 1, 2)]])  # degree-2 entry rejected
 
 
+def test_singular_constant_matrix_gives_zero_polynomial():
+    zero = PrecPoly((Fraction(0),))
+    assert zero.degree == 0 and zero.constant_term == 0
+    assert det_oracle([[1, 2], [2, 4]]) == zero      # zero after elimination
+    assert det_oracle([[0, 1], [0, 2]]) == zero      # no pivot in column 0
+    with pytest.raises(InvalidParameterError):
+        PrecPoly((Fraction(0), Fraction(0)))
+
+
 def test_split_qr():
     beta = BetaParam.parse("2")
     q1, r1 = split_qr(beta, 1)

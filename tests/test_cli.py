@@ -1,10 +1,12 @@
 """Command-line contract: schemas, exit codes, determinism."""
 import hashlib
 import json
+import logging
 
 import pytest
 
 from betaspec.cli import build_parser, run
+from betaspec.spectra import eigenvalues
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
 
@@ -18,6 +20,9 @@ REFERENCE_OUTPUTS = (
      "sv.csv", "cfba90c3edc572ebe1cf7907386ece1344cde4a05f37f5cae665ac869154327f"),
     (("outliers", "--beta=4/3", "--n", "60", "--digits", "60", "--out", "{out}/out.csv"),
      "out.csv", "c56edb9238b670dcb5e20bbb1efcf5b82047e6b0f609ff50f74cd25fd7dfaca2"),
+    # reaches the 4096-bit refinement level, with power-of-two denominators
+    (("outliers", "--beta=4/3", "--n", "1600", "--digits", "100", "--out", "{out}/out.csv"),
+     "out.csv", "269853b52d9272b0fbc2107ccdabc799a65ebd0d5fa7743990017b588959f1a3"),
 )
 
 
@@ -163,6 +168,18 @@ def test_outliers_ladder_exhaustion_exits_1(monkeypatch, capsys):
     assert json.loads(err)["error"] == "ConvergenceFailureError"
 
 
+def test_debug_logging_leaves_stdout_unchanged(caplog, capsys):
+    argv = ["eigs", "--beta", "4/3", "--n", "12", "--digits", "25"]
+    eigenvalues.cache_clear()
+    code, quiet, _ = _run(capsys, *argv)
+    eigenvalues.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        code_logged, logged, _ = _run(capsys, *argv)
+    assert code == code_logged == 0
+    assert logged == quiet
+    assert any("bits=" in r.getMessage() for r in caplog.records)
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -220,7 +237,7 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,name,digest", REFERENCE_OUTPUTS,
-                         ids=[argv[0] for argv, _, _ in REFERENCE_OUTPUTS])
+                         ids=["reproduce", "singvals", "outliers", "outliers-4096bit"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

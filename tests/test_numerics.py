@@ -15,6 +15,7 @@ from betaspec import (
     parse_scalar,
     with_precision,
 )
+from betaspec.numerics import mpc_from, mpf_from, polyval
 
 
 def test_min_precision_enforced():
@@ -118,3 +119,63 @@ def test_qcomplex_arithmetic_matches_complex():
         got = getattr(z, f"__{op}__")(w)
         ref = getattr(complex(z.re, z.im), f"__{op}__")(complex(w.re, w.im))
         assert abs(complex(float(got.re), float(got.im)) - ref) < 1e-12
+
+
+# Bit-identity of the fast kernels: the same correctly rounded operations as
+# the plain mpmath expressions, so the same tuples at every precision.
+BITS = st.sampled_from([64, 288, 1056, 8224])
+
+
+@st.composite
+def fractions_with_dyadic_denominators(draw):
+    k = draw(st.integers(min_value=0, max_value=10 ** 4))
+    odd = draw(st.sampled_from([1, 3, 7 ** 5, 10 ** 6 + 1, 3 ** 400]))
+    kind = draw(st.sampled_from(["pow2", "pow2*odd", "odd"]))
+    den = {"pow2": 2 ** k, "pow2*odd": 2 ** k * odd, "odd": odd}[kind]
+    num = draw(st.integers(min_value=-(2 ** 12000), max_value=2 ** 12000))
+    return Fraction(num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=fractions_with_dyadic_denominators(), bits=BITS)
+def test_mpf_from_fraction_matches_direct_division(x, bits):
+    with mp.workprec(bits):
+        assert mpf_from(x)._mpf_ == (mp.mpf(x.numerator) / x.denominator)._mpf_
+
+
+@settings(max_examples=40, deadline=None)
+@given(re=fractions_with_dyadic_denominators(),
+       im=fractions_with_dyadic_denominators(), bits=BITS)
+def test_mpc_from_qcomplex_matches_direct_division(re, im, bits):
+    with mp.workprec(bits):
+        expected = ((mp.mpf(re.numerator) / re.denominator)._mpf_,
+                    (mp.mpf(im.numerator) / im.denominator)._mpf_)
+        assert mpc_from(QComplex(re, im))._mpc_ == expected
+
+
+_small_fractions = st.fractions(min_value=-7, max_value=7, max_denominator=10 ** 6)
+
+
+@st.composite
+def scalars(draw, complex_):
+    # called inside the precision under test, so each part is rounded to it
+    re, im = draw(_small_fractions), draw(_small_fractions)
+    x = mp.mpf(re.numerator) / re.denominator
+    return mp.mpc(x, mp.mpf(im.numerator) / im.denominator) if complex_ else x
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), bits=st.sampled_from([64, 288, 1056]),
+       length=st.integers(min_value=2, max_value=40),
+       complex_coeffs=st.booleans(), complex_x=st.booleans())
+def test_polyval_matches_mpmath_polyval(data, bits, length, complex_coeffs, complex_x):
+    with mp.workprec(bits):
+        hi = [data.draw(scalars(complex_coeffs)) for _ in range(length)]
+        x = data.draw(scalars(complex_x))
+        got = polyval(hi, x)
+        expected = mp.polyval(hi, x)
+    assert type(got) is type(expected)
+    if isinstance(expected, mp.mpc):
+        assert got._mpc_ == expected._mpc_
+    else:
+        assert got._mpf_ == expected._mpf_

@@ -1,5 +1,6 @@
 """Root engine: certified multiprecision roots against independent checks."""
 import json
+import logging
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from betaspec import (
     reverse_poly,
     solve_all,
 )
+from betaspec.rootfind import _aberth_level, _circle_guesses
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
 
@@ -174,3 +176,80 @@ def test_sorted_by_argument():
             else:
                 args.append(mp.atan2(z.imag, z.real))
         assert all(args[i] <= args[i + 1] for i in range(len(args) - 1))
+
+
+def test_solver_logs_one_debug_record_per_level(caplog):
+    beta = BetaParam.parse("4/3")
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        rs = solve_all(charpoly_closed_form(beta, 12), 25)
+        root, bits = refine_real_root_reported(charpoly_closed_form(beta, 30),
+                                               Fraction(3), 40)
+    solve = [r.getMessage() for r in caplog.records if r.message.startswith("solve_all")]
+    refine = [r.getMessage() for r in caplog.records if r.message.startswith("refine")]
+    assert all(r.name == "betaspec" and r.levelno == logging.DEBUG for r in caplog.records)
+    # one record per ladder level, up to the level that certified
+    assert [int(m.split("bits=")[1].split()[0]) for m in solve] == \
+        [256 * 2 ** k for k in range(len(solve))]
+    assert solve[-1].split("bits=")[1].startswith(f"{rs.precision_used} ")
+    assert sum(int(m.split("sweeps=")[1].split()[0]) for m in solve) == rs.iterations
+    assert all("converged=True" in m and "seconds=" in m for m in solve[-2:])
+    assert [int(m.split("bits=")[1].split()[0]) for m in refine][-1] == bits
+    assert all("settled=True" in m and "newton_steps=" in m for m in refine)
+
+
+def _aberth_level_reference(hi, dhi, z, prec, conv_shift=32, max_sweeps=500):
+    # the sweep on mpmath number objects: the reference the tuple kernel in
+    # rootfind._aberth_level must reproduce bit for bit
+    d = len(hi) - 1
+    conv_tol = mp.mpf(2) ** (-(prec - conv_shift))
+    converged = [False] * d
+    for sweep in range(max_sweeps):
+        active = 0
+        for j in range(d):
+            if converged[j]:
+                continue
+            active += 1
+            x = z[j]
+            p = mp.polyval(hi, x)
+            dp = mp.polyval(dhi, x)
+            if p == 0:
+                converged[j] = True
+                continue
+            w = p / dp if dp != 0 else mp.mpc(1) / d
+            s = mp.mpc(0)
+            for k in range(d):
+                if k == j:
+                    continue
+                dz = x - z[k]
+                if dz == 0:
+                    dz = mp.mpc(conv_tol, conv_tol)
+                s += 1 / dz
+            denom = 1 - w * s
+            delta = w / denom if denom != 0 else w
+            z[j] = x - delta
+            if abs(delta) <= conv_tol * (1 + abs(z[j])):
+                converged[j] = True
+        if active == 0:
+            return z, sweep + 1, True
+    return z, max_sweeps, all(converged)
+
+
+@pytest.mark.parametrize("beta_text,n", [("4/3", 16), ("1+1i", 12)])
+def test_aberth_level_matches_mpmath_objects(beta_text, n):
+    poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
+    with mp.workprec(288):
+        cs = poly.coeffs_mp(real=False)
+        hi = cs[::-1]
+        dhi = [cs[k] * k for k in range(n, 0, -1)]
+        # two identical iterates exercise the dz == 0 nudge
+        seeds = _circle_guesses(cs, n)
+        seeds[1] = seeds[0]
+        # one sweep from the circle, where every bit of the repulsion sum
+        # reaches the iterates, then the whole level
+        for max_sweeps in (1, 500):
+            got = _aberth_level(hi, dhi, list(seeds), 256, max_sweeps=max_sweeps)
+            expected = _aberth_level_reference(hi, dhi, list(seeds), 256,
+                                               max_sweeps=max_sweeps)
+            assert got[1:] == expected[1:]
+            assert [z._mpc_ for z in got[0]] == [z._mpc_ for z in expected[0]]
+    assert got[2]
