@@ -44,15 +44,14 @@ from .matrices import (
 from .charpoly import (
     LimitFunction,
     PrecPoly,
-    aux_matrix_symbolic,
     charpoly_closed_form,
     det_oracle,
     eval_limit,
     limit_derivative,
     poly_to_json,
     reverse_poly,
-    shifted_matrix_symbolic,
     split_qr,
+    symbolic_t,
 )
 from .rootfind import (
     RootSet,

@@ -32,7 +32,7 @@ from .errors import (
     SizeLimitError,
     ZeroRootError,
 )
-from .matrices import REAL_GT1, BetaParam, build_beta_matrix
+from .matrices import REAL_GT1, BetaParam
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     QComplex,
@@ -57,7 +57,6 @@ class PrecPoly:
     """
 
     coeffs: tuple
-    exact: bool = True
     beta: BetaParam | None = None
 
     def __post_init__(self):
@@ -66,6 +65,11 @@ class PrecPoly:
         if not self.coeffs[-1] and len(self.coeffs) > 1:
             raise InvalidParameterError(
                 "leading coefficient must be nonzero (only the constant 0 may be zero)")
+
+    @property
+    def exact(self) -> bool:
+        """True iff no coefficient is an mpf or mpc."""
+        return not any(isinstance(c, (mp.mpf, mp.mpc)) for c in self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -114,12 +118,6 @@ class PrecPoly:
             cs = self.coeffs_mp(real=isinstance(tv, mp.mpf) and self.is_real)
             return polyval(cs[::-1], tv)
 
-    def derivative(self) -> "PrecPoly":
-        if self.degree == 0:
-            raise InvalidParameterError("derivative of a constant is the zero polynomial")
-        cs = tuple(self.coeffs[k] * k for k in range(1, len(self.coeffs)))
-        return PrecPoly(coeffs=cs, exact=self.exact)
-
 
 def charpoly_closed_form(beta: BetaParam, n: int) -> PrecPoly:
     """Characteristic polynomial of the order-n family member, O(n) exact.
@@ -136,7 +134,7 @@ def charpoly_closed_form(beta: BetaParam, n: int) -> PrecPoly:
         s = s + inv_powers[m]
         coeffs.append(1 - s)
     coeffs.append(s * 0 + 1)
-    return PrecPoly(coeffs=tuple(coeffs), exact=True, beta=beta)
+    return PrecPoly(coeffs=tuple(coeffs), beta=beta)
 
 
 def split_qr(beta: BetaParam, n: int) -> tuple[PrecPoly, PrecPoly]:
@@ -149,13 +147,13 @@ def split_qr(beta: BetaParam, n: int) -> tuple[PrecPoly, PrecPoly]:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
     inv_powers = beta.inverse_powers(n)
     one = inv_powers[0] * 0 + 1
-    q = PrecPoly(coeffs=tuple([one] * (n + 1)), exact=True)
+    q = PrecPoly(coeffs=tuple([one] * (n + 1)))
     rc = []
     s = inv_powers[0] * 0
     for m in range(n):
         s = s + inv_powers[m]
         rc.append(s)
-    r = PrecPoly(coeffs=tuple(rc), exact=True)
+    r = PrecPoly(coeffs=tuple(rc))
     return q, r
 
 
@@ -166,17 +164,18 @@ def reverse_poly(poly: PrecPoly) -> PrecPoly:
     """
     if not poly.constant_term:
         raise ZeroRootError("cannot reverse a polynomial with constant term 0")
-    return PrecPoly(coeffs=tuple(reversed(poly.coeffs)), exact=poly.exact)
+    return PrecPoly(coeffs=tuple(reversed(poly.coeffs)))
 
 
 def poly_to_json(poly: PrecPoly, digits: int = 30) -> str:
     """JSON export: degree, low-to-high coefficient strings, beta, exactness."""
+    exact = poly.exact
     payload = {
         "degree": poly.degree,
-        "coeffs": [str(c) if poly.exact else decimal_str(c, digits)
+        "coeffs": [str(c) if exact else decimal_str(c, digits)
                    for c in poly.coeffs],
         "beta": str(poly.beta) if poly.beta is not None else None,
-        "exact": poly.exact,
+        "exact": exact,
     }
     return json.dumps(payload)
 
@@ -204,19 +203,19 @@ class _RatPoly:
         return len(self.c) == 1 and self.c[0] == 0
 
     def __add__(self, other):
-        a, b = self.c, other.c
+        a, b = self.c, _coerce_entry(other).c
         n = max(len(a), len(b))
         return _RatPoly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                          for i in range(n)])
 
     def __sub__(self, other):
-        a, b = self.c, other.c
+        a, b = self.c, _coerce_entry(other).c
         n = max(len(a), len(b))
         return _RatPoly([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
                          for i in range(n)])
 
     def __mul__(self, other):
-        a, b = self.c, other.c
+        a, b = self.c, _coerce_entry(other).c
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
@@ -224,6 +223,12 @@ class _RatPoly:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
         return _RatPoly(out)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return _coerce_entry(other) - self
 
     def __neg__(self):
         return _RatPoly([-x for x in self.c])
@@ -263,9 +268,14 @@ def _coerce_entry(x) -> _RatPoly:
     )
 
 
-def symbolic_t() -> tuple:
-    """The degree-1 entry (0, 1) representing the variable t for oracle input."""
-    return (Fraction(0), Fraction(1))
+def symbolic_t() -> _RatPoly:
+    """The variable t of the oracle's ring Q[t].
+
+    It mixes with int and Fraction entries, so ``matrices.build_aux_matrix``
+    and ``matrices.build_shifted`` called at ``symbolic_t()`` give matrices
+    :func:`det_oracle` takes.
+    """
+    return _RatPoly([0, 1])
 
 
 def det_oracle(matrix: Sequence[Sequence]) -> PrecPoly:
@@ -309,39 +319,7 @@ def det_oracle(matrix: Sequence[Sequence]) -> PrecPoly:
         det = -det
     if det.is_zero():
         return PrecPoly((Fraction(0),))
-    return PrecPoly(coeffs=tuple(det.c), exact=True)
-
-
-def aux_matrix_symbolic(n: int) -> list[list[_RatPoly]]:
-    """The bordered bidiagonal auxiliary matrix with symbolic t, oracle-ready."""
-    if n < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {n}")
-    t = _RatPoly([0, 1])
-    one = _RatPoly([1])
-    zero = _RatPoly([0])
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = -one
-        if i + 1 < n:
-            rows[i][i + 1] = t
-    for j in range(n - 1):
-        rows[n - 1][j] = -t
-    rows[n - 1][n - 1] = -one - t
-    return rows
-
-
-def shifted_matrix_symbolic(beta: BetaParam, n: int) -> list[list[_RatPoly]]:
-    """t*I - B with symbolic t over exact rationals, oracle-ready."""
-    if not beta.is_real:
-        raise InvalidParameterError("symbolic shifted matrix requires real rational beta")
-    dense = build_beta_matrix(beta, n).dense_exact()
-    t = _RatPoly([0, 1])
-    rows = []
-    for i in range(n):
-        row = [_RatPoly([-x]) for x in dense[i]]
-        row[i] = row[i] + t
-        rows.append(row)
-    return rows
+    return PrecPoly(coeffs=tuple(det.c))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 At beta = 1 the matrix drops to lower block triangular form with an all-zero
 first row, so 0 is an eigenvalue with a one-dimensional kernel and every
 other eigenvalue lives in the strictly positive block
-``X = (lower shift) + ones`` of order n-1.  Positivity makes the dominant
-eigenvalue simple (Perron theory), so the power method started from the
-all-ones vector converges; all iterates stay exact integer vectors, the
-ratios of first components are exact rationals increasing to the dominant
-eigenvalue, and the row-sum bound keeps that eigenvalue strictly below n.
+``X = (lower shift) + ones`` of order n-1.  The kernel has a closed form:
+B w = 0 for w = (1, s) means X s = -(e + e_1), whose first row gives
+sum(s) = -2 and whose row i >= 2 then gives s_{i-1} = 1, so
+w = (1, ..., 1, -n).  Positivity makes the dominant eigenvalue simple
+(Perron theory), so the power method started from the all-ones vector
+converges; all iterates stay exact integer vectors, the ratios of first
+components are exact rationals converging to the dominant eigenvalue, and
+the row-sum bound keeps that eigenvalue strictly below n.
 
 Empirically the dominant eigenvalue behaves like ``n - 1/n + c2/n**2 + ...``;
 the module reports the first two expansion checks (``c0_est = lam - n``,
@@ -25,14 +28,15 @@ import mpmath as mp
 
 from .errors import (
     ConvergenceFailureError,
-    InconsistencyError,
     InvalidOrderError,
     InvalidParameterError,
 )
-from .matrices import build_x_block
 from .numerics import decimal_str, mpf_from, with_precision
 
-INTEGER_BIT_CAP = 10 ** 6
+# Iteration cap of lambda_max_beta1.  X has row sums <= n, so after k
+# products no entry exceeds n**k and the exact integer iterates stay below
+# (MAX_POWER_ITERATIONS + 1) * log2(n) + 1 bits.
+MAX_POWER_ITERATIONS = 20000
 
 # Closed-form first components (v_k)_1 of the exact power iteration as
 # polynomials in n (low -> high coefficients), k = 1..5.  Verified against
@@ -71,7 +75,7 @@ class PowerTrace:
 
     ``iterates[k]`` is the integer vector v_k (v_0 all ones), all entries
     strictly positive so every ratio r_k = (v_{k+1})_1 / (v_k)_1 is well
-    defined; the ratios increase toward the dominant eigenvalue.
+    defined; the ratios converge to the dominant eigenvalue.
     """
 
     n: int
@@ -126,14 +130,13 @@ class AsymptoticFit:
         })
 
 
-def lambda_max_beta1(n: int, target_digits: int, max_iterations: int = 20000) -> AsymptoticFit:
+def lambda_max_beta1(n: int, target_digits: int) -> AsymptoticFit:
     """Dominant eigenvalue of the positive block by ratio-converged power method.
 
     Iterates exactly over integers until the first-component ratios settle to
-    the digit target (|r_{k+1} - r_k| < 10**-(target_digits+2)); if the
-    integer entries outgrow the bit cap the iteration continues in normalized
-    multiprecision floats.  The ratio of first components is the convergence
-    quantity, not a full Rayleigh quotient.
+    the digit target (|r_{k+1} - r_k| < 10**-(target_digits+2)), at most
+    ``MAX_POWER_ITERATIONS`` times.  The ratio of first components is the
+    convergence quantity, not a full Rayleigh quotient.
     """
     if n < 2:
         raise InvalidOrderError("dominant-eigenvalue analysis requires n >= 2")
@@ -149,39 +152,19 @@ def lambda_max_beta1(n: int, target_digits: int, max_iterations: int = 20000) ->
     stop = Fraction(1, 10 ** (target_digits + 2))
     v = [1] * (n - 1)
     r_prev: Fraction | None = None
-    exact = True
-    with with_precision(prec):
-        stop_mp = mpf_from(stop)
-        for k in range(max_iterations):
-            if exact:
-                w = _block_apply(v)
-                r = Fraction(w[0], v[0])
-                if r_prev is not None and abs(r - r_prev) < stop:
-                    lam = mpf_from(r)
-                    return AsymptoticFit(n=n, lambda_max=lam, c0_est=lam - n,
-                                         c1_est=n * (lam - n), iterations=k + 1)
-                r_prev = r
-                if max(w).bit_length() > INTEGER_BIT_CAP:
-                    exact = False
-                    scale = mpf_from(Fraction(1, w[0]))
-                    v = [mpf_from(Fraction(x)) * scale for x in w]
-                    r_prev = mpf_from(r)
-                else:
-                    v = w
-            else:
-                total = mp.fsum(v)
-                w = [total] * (n - 1)
-                for i in range(1, n - 1):
-                    w[i] += v[i - 1]
-                r = w[0] / v[0]
-                if r_prev is not None and abs(r - r_prev) < stop_mp:
-                    return AsymptoticFit(n=n, lambda_max=r, c0_est=r - n,
-                                         c1_est=n * (r - n), iterations=k + 1)
-                r_prev = r
-                v = [x / w[0] for x in w]
+    for k in range(MAX_POWER_ITERATIONS):
+        w = _block_apply(v)
+        r = Fraction(w[0], v[0])
+        if r_prev is not None and abs(r - r_prev) < stop:
+            with with_precision(prec):
+                lam = mpf_from(r)
+                return AsymptoticFit(n=n, lambda_max=lam, c0_est=lam - n,
+                                     c1_est=n * (lam - n), iterations=k + 1)
+        r_prev = r
+        v = w
     raise ConvergenceFailureError(
         f"power method did not settle to {target_digits} digits in "
-        f"{max_iterations} iterations")
+        f"{MAX_POWER_ITERATIONS} iterations")
 
 
 def gerschgorin_check(n: int, target_digits: int = 12) -> bool:
@@ -197,40 +180,13 @@ def gerschgorin_check(n: int, target_digits: int = 12) -> bool:
 def kernel_vector(n: int) -> list[Fraction]:
     """Exact kernel vector w = (1, s) with X s = -(e + e_1), so B w = 0.
 
-    Solved by exact rational elimination on the strictly positive block; the
-    block is invertible, so a singular elimination signals an internal
-    inconsistency rather than a legitimate outcome.
+    Row 1 of X s = -(e + e_1) reads sum(s) = -2, and row i >= 2 reads
+    sum(s) + s_{i-1} = -1, so s_{i-1} = 1 for i = 2..n-1 and the last entry
+    is -2 - (n - 2) = -n.  Hence w = (1, ..., 1, -n).
     """
     if n < 2:
         raise InvalidOrderError("kernel construction requires n >= 2")
-    m = n - 1
-    a = [[Fraction(x) for x in row] for row in build_x_block(n)]
-    rhs = [Fraction(-2)] + [Fraction(-1)] * (m - 1)
-    for col in range(m):
-        piv = None
-        for r in range(col, m):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise InconsistencyError("positive block eliminated to singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        for r in range(col + 1, m):
-            f = a[r][col] / a[col][col]
-            if f == 0:
-                continue
-            for cidx in range(col, m):
-                a[r][cidx] -= f * a[col][cidx]
-            rhs[r] -= f * rhs[col]
-    s = [Fraction(0)] * m
-    for r in range(m - 1, -1, -1):
-        acc = rhs[r]
-        for cidx in range(r + 1, m):
-            acc -= a[r][cidx] * s[cidx]
-        s[r] = acc / a[r][r]
-    return [Fraction(1)] + s
+    return [Fraction(1)] * (n - 1) + [Fraction(-n)]
 
 
 def extrapolate_c2(ns: Sequence[int] = (50, 100, 200, 400),

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InvalidOrderError, InvalidParameterError
@@ -114,12 +113,6 @@ class BetaParam:
             acc = acc * inv
         return out
 
-    def as_mp(self):
-        """mpf (real beta) or mpc at the ambient precision."""
-        if self.is_real:
-            return mpf_from(self.real_value)
-        return mpc_from(self.value)
-
     def __str__(self):
         return str(self.value)
 
@@ -187,21 +180,6 @@ class BetaMatrix:
             out[i] = out[i] + x[i - 1]
         return out
 
-    def matvec_mp(self, x: Sequence, bits: int = DEFAULT_PRECISION_BITS) -> list:
-        """Structured product B @ x at ``bits`` precision, O(n)."""
-        if len(x) != self.n:
-            raise InvalidOrderError("vector length mismatch")
-        with with_precision(bits):
-            conv = mpf_from if self.beta.is_real else mpc_from
-            v = [conv(w) for w in self.correction_vector()]
-            xs = [mpc_from(t) if isinstance(t, (complex, mp.mpc)) else mpf_from(t)
-                  for t in x]
-            total = mp.fsum(xs) if all(isinstance(t, mp.mpf) for t in xs) else sum(xs)
-            out = [(v[i] - (1 if i == 0 else 0)) * total for i in range(self.n)]
-            for i in range(1, self.n):
-                out[i] = out[i] + xs[i - 1]
-            return out
-
     def trace_exact(self):
         """Exact trace: sum(beta**-i for i=1..n) - 1."""
         return sum(self.correction_vector()) - 1
@@ -220,8 +198,8 @@ def build_aux_matrix(t, n: int) -> list[list]:
     """Bordered bidiagonal matrix -I + t*(upper shift - e_n e^T), order n.
 
     Entries: -1 on the diagonal, t on the superdiagonal, last row
-    (-t, ..., -t, -1-t).  ``t`` may be exact (int/Fraction/QComplex) or an
-    mpf/mpc; the output entries follow the input kind.
+    (-t, ..., -t, -1-t).  ``t`` may be exact (int/Fraction/QComplex), an
+    mpf/mpc, or ``charpoly.symbolic_t()``; the entries follow the input kind.
     """
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
@@ -242,14 +220,17 @@ def build_aux_matrix(t, n: int) -> list[list]:
 
 
 def build_shifted(beta: BetaParam, n: int, t) -> list[list]:
-    """Dense t*I - B entrywise, exact when ``t`` is exact."""
+    """Dense t*I - B entrywise, exact when ``t`` is exact.
+
+    At ``charpoly.symbolic_t()`` the diagonal is built as ``t + (-b_ii)``, so a
+    complex beta reaches the oracle's coercion and raises
+    :class:`InvalidParameterError`.
+    """
     mat = build_beta_matrix(beta, n).dense_exact()
-    if isinstance(t, int):
-        t = Fraction(t)
     out = []
     for i in range(n):
         row = [-x for x in mat[i]]
-        row[i] = row[i] + t
+        row[i] = t + row[i]
         out.append(row)
     return out
 

@@ -41,6 +41,7 @@ log = logging.getLogger("betaspec")
 
 PRECISION_LADDER = (256, 512, 1024, 2048)
 MAX_SWEEPS_PER_LEVEL = 500
+MAX_NEWTON_STEPS_PER_LEVEL = 200
 FLOAT_WARMUP_SWEEPS = 300
 FLOAT_WARMUP_TOL = 1e-12
 
@@ -156,19 +157,19 @@ def _float_warm_start(coeffs) -> list | None:
     return list(z)
 
 
-def _aberth_level(hi, dhi, z, prec, conv_shift=32, max_sweeps=MAX_SWEEPS_PER_LEVEL):
+def _aberth_level(hi, dhi, z, prec, max_sweeps=MAX_SWEEPS_PER_LEVEL):
     """Gauss-Seidel Ehrlich-Aberth sweeps at one precision level.
 
     ``hi`` and ``dhi`` are the coefficients of p and p' from the highest
     degree down, as :func:`polyval` takes them.  Returns (roots, sweeps,
     converged).  A root freezes once its relative correction drops below
-    2**-(prec - conv_shift); frozen roots still contribute to the repulsion
+    2**-(prec - 32); frozen roots still contribute to the repulsion
     sums of the active ones.  The O(d) repulsion sum runs on the raw libmp
     tuples of the iterates, with the operations ``s += 1 / (x - z_k)`` makes.
     """
     d = len(hi) - 1
     wprec, rnd = mp.mp._prec_rounding
-    conv_tol = mp.mpf(2) ** (-(prec - conv_shift))
+    conv_tol = mp.mpf(2) ** (-(prec - 32))
     tie = mp.mpc(conv_tol, conv_tol)._mpc_
     zero = mp.mpc(0)._mpc_
     zt = [x._mpc_ for x in z]
@@ -312,8 +313,8 @@ def _as_complex(c):
 REFINE_LADDER = (256, 512, 1024, 2048, 4096, 8192)
 
 
-def refine_real_root_reported(poly: PrecPoly, seed, target_digits: int,
-                              max_steps_per_level: int = 200) -> tuple[mp.mpf, int]:
+def refine_real_root_reported(poly: PrecPoly, seed,
+                              target_digits: int) -> tuple[mp.mpf, int]:
     """Polish one real root by Newton iteration at escalating precision.
 
     The seed must lie in the Newton basin of a real simple root.  Returns
@@ -350,7 +351,7 @@ def refine_real_root_reported(poly: PrecPoly, seed, target_digits: int,
             step_tol = mp.mpf(2) ** (-(prec - 24))
             settled = False
             steps = 0
-            for steps in range(1, max_steps_per_level + 1):
+            for steps in range(1, MAX_NEWTON_STEPS_PER_LEVEL + 1):
                 p = polyval(hi, x)
                 dp = polyval(dhi, x)
                 if dp == 0:
@@ -375,7 +376,7 @@ def refine_real_root_reported(poly: PrecPoly, seed, target_digits: int,
             prev = x
     if not settled:
         raise RefinementFailureError(
-            f"Newton iteration did not settle within {max_steps_per_level} steps "
+            f"Newton iteration did not settle within {MAX_NEWTON_STEPS_PER_LEVEL} steps "
             f"at {REFINE_LADDER[-1]} bits (seed outside basin?)")
     raise ConvergenceFailureError(
         f"Newton refinement did not certify {target_digits} digits within "

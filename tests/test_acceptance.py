@@ -15,7 +15,9 @@ import pytest
 from betaspec import (
     BetaParam,
     LimitFunction,
+    build_aux_matrix,
     build_beta_matrix,
+    build_shifted,
     charpoly_closed_form,
     cluster_count,
     condition_bound_check,
@@ -30,11 +32,10 @@ from betaspec import (
     power_method_trace,
     quasi_normality_gap,
     reverse_poly,
-    shifted_matrix_symbolic,
     singular_values,
+    symbolic_t,
     weyl_sum,
 )
-from betaspec.charpoly import aux_matrix_symbolic
 from betaspec.spectra import BUILTIN_TEST_FUNCTIONS
 
 B43 = BetaParam.parse("4/3")
@@ -119,11 +120,11 @@ def test_criterion_04_oracle_equivalence():
     for beta in betas:
         for n in range(1, 9):
             closed = charpoly_closed_form(beta, n)
-            oracle = det_oracle(shifted_matrix_symbolic(beta, n))
+            oracle = det_oracle(build_shifted(beta, n, symbolic_t()))
             assert closed.coeffs == oracle.coeffs, f"beta={beta}, n={n}"
     rng = random.Random(20260811)
     for n in range(1, 11):
-        det = det_oracle(aux_matrix_symbolic(n))
+        det = det_oracle(build_aux_matrix(symbolic_t(), n))
         sign = (-1) ** n
         for _ in range(20):
             t = Fraction(rng.randint(-99, 99), rng.randint(1, 40))

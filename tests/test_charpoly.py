@@ -14,15 +14,16 @@ from betaspec import (
     PrecPoly,
     SizeLimitError,
     ZeroRootError,
-    aux_matrix_symbolic,
+    build_aux_matrix,
+    build_shifted,
     charpoly_closed_form,
     det_oracle,
     eval_limit,
     limit_derivative,
     poly_to_json,
     reverse_poly,
-    shifted_matrix_symbolic,
     split_qr,
+    symbolic_t,
 )
 
 BETAS = [BetaParam.parse(s) for s in ("4/3", "3/2", "2", "3", "5")]
@@ -49,11 +50,11 @@ def test_closed_form_matches_direct_2x2_expansion():
     b1, b2 = beta.inverse_powers(2)
     p = charpoly_closed_form(beta, 2)
     assert p.coeffs == (1 - b1, 1 - b1 - b2, Fraction(1))
-    oracle = det_oracle(shifted_matrix_symbolic(beta, 2))
+    oracle = det_oracle(build_shifted(beta, 2, symbolic_t()))
     assert oracle.coeffs == p.coeffs
 
     p3 = charpoly_closed_form(beta, 3)
-    oracle3 = det_oracle(shifted_matrix_symbolic(beta, 3))
+    oracle3 = det_oracle(build_shifted(beta, 3, symbolic_t()))
     assert oracle3.coeffs == p3.coeffs
 
 
@@ -61,13 +62,13 @@ def test_closed_form_matches_direct_2x2_expansion():
 def test_oracle_equivalence_grid(n):
     for beta in BETAS:
         closed = charpoly_closed_form(beta, n)
-        oracle = det_oracle(shifted_matrix_symbolic(beta, n))
+        oracle = det_oracle(build_shifted(beta, n, symbolic_t()))
         assert closed.coeffs == oracle.coeffs
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_aux_determinant_identity(n):
-    det = det_oracle(aux_matrix_symbolic(n))
+    det = det_oracle(build_aux_matrix(symbolic_t(), n))
     sign = 1 if n % 2 == 0 else -1
     assert det.coeffs == tuple(Fraction(sign) for _ in range(n + 1))
     # spot values at random rational points
@@ -79,12 +80,17 @@ def test_aux_determinant_identity(n):
 
 
 def test_oracle_base_case_and_limits():
-    m1 = det_oracle(aux_matrix_symbolic(1))
+    m1 = det_oracle(build_aux_matrix(symbolic_t(), 1))
     assert m1.coeffs == (Fraction(-1), Fraction(-1))
     with pytest.raises(SizeLimitError):
-        det_oracle(aux_matrix_symbolic(13))
+        det_oracle(build_aux_matrix(symbolic_t(), 13))
     with pytest.raises(InvalidParameterError):
         det_oracle([[(0, 1, 2)]])  # degree-2 entry rejected
+
+
+def test_oracle_rejects_complex_beta():
+    with pytest.raises(InvalidParameterError):
+        det_oracle(build_shifted(BetaParam.parse("1+1i"), 3, symbolic_t()))
 
 
 def test_singular_constant_matrix_gives_zero_polynomial():
@@ -213,6 +219,19 @@ def test_poly_json_schema():
     assert doc["exact"] is True
     assert doc["coeffs"][0] == "1/4"
     assert len(doc["coeffs"]) == 4
+
+
+def test_exactness_follows_coefficients():
+    exact = charpoly_closed_form(BetaParam.parse("1+2i"), 3)
+    assert exact.exact
+    with mp.workprec(128):
+        inexact = PrecPoly(coeffs=(mp.mpf(1) / 3, mp.mpc(0, 1), mp.mpf(1)))
+    assert not inexact.exact
+    doc = json.loads(poly_to_json(inexact, digits=5))
+    assert doc["exact"] is False
+    assert doc["coeffs"] == ["0.33333", "(0.0 + 1.0j)", "1.0"]
+    with pytest.raises(InvalidParameterError):
+        inexact.eval_exact(Fraction(1))
 
 
 def test_precpoly_validation():

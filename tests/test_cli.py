@@ -10,7 +10,7 @@ from betaspec.spectra import eigenvalues
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
 
-# sha256 of the files three reference commands write ("{out}" is a fresh
+# sha256 of the files the reference commands write ("{out}" is a fresh
 # directory).  A deliberate change to the output must update these hashes and
 # say why in CHANGES.md; any other change to them is a regression.
 REFERENCE_OUTPUTS = (
@@ -23,6 +23,9 @@ REFERENCE_OUTPUTS = (
     # reaches the 4096-bit refinement level, with power-of-two denominators
     (("outliers", "--beta=4/3", "--n", "1600", "--digits", "100", "--out", "{out}/out.csv"),
      "out.csv", "269853b52d9272b0fbc2107ccdabc799a65ebd0d5fa7743990017b588959f1a3"),
+    # exact power method and trace of the beta = 1 block
+    (("beta1", "--n", "3,50,400", "--digits", "40", "--format", "json", "--out", "{out}/b1.json"),
+     "b1.json", "9d30452b4cd9eeeb51ad67d1affca76156f2f44a7607f15d012600d0d13d8c18"),
 )
 
 
@@ -237,7 +240,8 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,name,digest", REFERENCE_OUTPUTS,
-                         ids=["reproduce", "singvals", "outliers", "outliers-4096bit"])
+                         ids=["reproduce", "singvals", "outliers", "outliers-4096bit",
+                              "beta1"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

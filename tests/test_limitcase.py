@@ -100,7 +100,7 @@ def test_kernel_small_cases():
         kernel_vector(1)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", [*range(2, 11), 400, 2000])
 def test_kernel_annihilated_exactly(n):
     w = kernel_vector(n)
     out = build_beta_matrix(BETA1, n).matvec_exact(w)

@@ -94,7 +94,7 @@ def test_solve_inexact_coefficients():
     # mpf-coefficient polynomial (t - 1/4)(t - 4) built at 256 bits
     with mp.workprec(256):
         coeffs = (mp.mpf(1), -mp.mpf("4.25"), mp.mpf(1))
-    p = PrecPoly(coeffs=coeffs, exact=False)
+    p = PrecPoly(coeffs=coeffs)
     rs = solve_all(p, 30)
     with mp.workprec(300):
         got = sorted(z.real for z in rs.roots)
