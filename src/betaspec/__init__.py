@@ -44,12 +44,14 @@ from .matrices import (
 from .charpoly import (
     LimitFunction,
     PrecPoly,
+    SparseForm,
     charpoly_closed_form,
     det_oracle,
     eval_limit,
     limit_derivative,
     poly_to_json,
     reverse_poly,
+    sparse_form,
     split_qr,
     symbolic_t,
 )

@@ -9,6 +9,9 @@ Aggregating the double sum by powers of t gives the O(n) coefficient rule
 implemented here: the coefficient of t**m for m < n is
 ``1 - sum_{i=1..m+1} beta**-i`` and the leading coefficient is 1.  The
 constant term is ``1 - beta**-1``, so 0 is never an eigenvalue for beta > 1.
+Successive coefficients differ by ``-beta**-(m+1)``, so multiplying by
+(1 - t)(1 - t/beta) telescopes p_n into five terms, a(t) + t**n b(t)
+(:func:`sparse_form`), which evaluate in O(log n).
 
 The geometric split q_n - r_n, the coefficient reversal t**n * p(1/t)
 (which maps roots to reciprocals), and the two rational limit functions the
@@ -135,6 +138,86 @@ def charpoly_closed_form(beta: BetaParam, n: int) -> PrecPoly:
         coeffs.append(1 - s)
     coeffs.append(s * 0 + 1)
     return PrecPoly(coeffs=tuple(coeffs), beta=beta)
+
+
+@dataclass(frozen=True)
+class SparseForm:
+    """The five-term form (1 - t)(1 - x t) p_n(t) = a(t) + t**n b(t), x = 1/beta.
+
+    ``a`` = (1 - x, -x) and ``b`` = (S_n + x**(n+1), -(1 + x S_n), x) run low
+    to high, with S_n = x + ... + x**n.  The zeros of the left side are the n
+    eigenvalues and the two spurious zeros t = 1 and t = beta.  The zero of a
+    is beta - 1, the limit of the small outlier; b tends to
+    b_inf(t) = x (t - beta)(t - 1/(beta - 1)), whose second zero is the limit
+    of the large outlier.
+    """
+
+    beta: BetaParam
+    n: int
+    x: Fraction | QComplex
+    a: tuple
+    b: tuple
+
+    @property
+    def is_real(self) -> bool:
+        return self.beta.is_real
+
+    @property
+    def coeffs(self) -> tuple:
+        """(a0, a1, b0, b1, b2), the five exact coefficients."""
+        return self.a + self.b
+
+    def coeffs_mp(self) -> list:
+        """The five coefficients as mpf (real beta) or mpc at the ambient precision."""
+        conv = mpf_from if self.is_real else mpc_from
+        return [conv(c) for c in self.coeffs]
+
+    def offset_small(self, t):
+        """t - (beta - 1) at a zero t of p_n, as beta t**n b(t).
+
+        Evaluated at the ambient precision this keeps its relative accuracy
+        however small the offset is; the subtraction would not.
+        """
+        b0, b1, b2, beta = (mpf_from(c) for c in self.b + (self.beta.real_value,))
+        return beta * t ** self.n * (b0 + (b1 + b2 * t) * t)
+
+    def offset_large(self, t):
+        """t - 1/(beta - 1) at a zero t of p_n, as
+        (-a(t) t**-n - delta(t)) / (x (t - beta)), where
+        delta = b - b_inf = x**(n+2) (t - 1) / (1 - x).
+
+        Both terms of the numerator are as small as the offset itself, so it
+        keeps its relative accuracy; the subtraction would not.
+        """
+        x = self.x
+        a0, a1, d, xv, beta = (mpf_from(c) for c in (
+            self.a[0], self.a[1], x ** (self.n + 2) / (1 - x), x, self.beta.real_value))
+        return (-(a0 + a1 * t) / t ** self.n - d * (t - 1)) / (xv * (t - beta))
+
+
+def sparse_form(beta: BetaParam, n: int) -> SparseForm:
+    """The :class:`SparseForm` of p_n in O(log n) exact operations (one power of x)."""
+    if n < 1:
+        raise InvalidOrderError(f"order must be >= 1, got {n}")
+    x = Fraction(1) / beta.real_value if beta.is_real else beta.value.inverse()
+    xn = x ** n
+    s = x * (1 - xn) / (1 - x) if x != 1 else Fraction(n)
+    return SparseForm(beta=beta, n=n, x=x, a=(1 - x, -x),
+                      b=(s + xn * x, -(1 + x * s), x))
+
+
+def eval_sparse(cs: Sequence, n: int, t) -> tuple:
+    """(f(t), f'(t)) of f = a + t**n b from the five coefficients ``cs``
+    (a0, a1, b0, b1, b2), with t**(n-1) by squaring.
+
+    Generic over the arithmetic of ``t`` and ``cs``: mpf, mpc or mpmath
+    intervals (``mp.iv``), each operation rounded as that arithmetic rounds.
+    """
+    a0, a1, b0, b1, b2 = cs
+    tn1 = t ** (n - 1)
+    f = a0 + a1 * t + tn1 * t * (b0 + (b1 + b2 * t) * t)
+    df = a1 + tn1 * (n * b0 + ((n + 1) * b1 + (n + 2) * b2 * t) * t)
+    return f, df
 
 
 def split_qr(beta: BetaParam, n: int) -> tuple[PrecPoly, PrecPoly]:

@@ -13,6 +13,10 @@ Initial guesses are degree-many points on the Cauchy-bound circle
 sweeps run in guarded IEEE float64 (pennies compared to an mp sweep), after
 which the multiprecision ladder takes over.  Identical inputs give identical
 digit strings: everything is sequential and deterministic.
+
+Single real roots (the outliers) are refined by Newton iteration on the
+five-term sparse form of p_n instead, each certified by a sign change in
+interval arithmetic (:func:`refine_real_root_reported`).
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     RefinementFailureError,
 )
-from .charpoly import PrecPoly
+from .charpoly import PrecPoly, SparseForm, eval_sparse
 from .matrices import BetaParam
 from .numerics import QComplex, decimal_str, mpc_from, mpf_from, polyval, with_precision
 
@@ -313,74 +317,96 @@ def _as_complex(c):
 REFINE_LADDER = (256, 512, 1024, 2048, 4096, 8192)
 
 
-def refine_real_root_reported(poly: PrecPoly, seed,
+def refine_real_root_reported(form: SparseForm, seed,
                               target_digits: int) -> tuple[mp.mpf, int]:
-    """Polish one real root by Newton iteration at escalating precision.
+    """Polish one real zero of p_n by Newton iteration at escalating precision.
 
-    The seed must lie in the Newton basin of a real simple root.  Returns
-    ``(root, bits)``: an mpf with |p(root)| <= 10**-target_digits, confirmed
-    by agreement of two successive precision levels to the digit target, and
-    the level at which they agreed.  A seed outside the basin raises
-    :class:`RefinementFailureError` (the iterate left the root region, the
-    derivative vanished, or Newton never settled at the top level); a root
-    that settles but needs more bits than ``REFINE_LADDER`` offers raises
+    Newton runs on the five-term form f = (1 - t)(1 - x t) p_n of
+    :func:`~betaspec.charpoly.sparse_form`, with the spurious zeros t = 1 and
+    t = beta divided out of the step, so it is Newton on p_n itself at
+    O(log n) operations per step.  A level is accepted once Newton has
+    settled and f changes sign across [root - u, root + u], with
+    u = 10**-(target_digits + 2) |root| / n, in outward-rounded interval
+    arithmetic: that bracket holds a zero of p_n, narrow enough to fix the
+    printed root and its offsets to the limits.  Returns ``(root, bits)``,
+    the mpf iterate and the level that certified it.
+
+    A seed outside the basin raises :class:`RefinementFailureError` at the
+    first level where Newton does not settle (or where the step meets t = 1,
+    t = beta or a vanishing derivative); a root that settles but whose
+    bracket no level of ``REFINE_LADDER`` can certify raises
     :class:`ConvergenceFailureError` with the last iterate in ``best``.
     """
     if target_digits < 1:
         raise InvalidParameterError("target_digits must be >= 1")
-    if not poly.is_real:
+    if not form.is_real:
         raise InvalidParameterError("real-root refinement requires real coefficients")
-    d = poly.degree
-    if d < 1:
-        raise InvalidParameterError("polynomial degree must be >= 1")
-    if d == 1:
+    n = form.n
+    if n == 1:
         prec = max(256, 4 * target_digits)
         with with_precision(prec):
-            c0, c1 = poly.coeffs_mp(real=True)
-            return -c0 / c1, prec
+            return mpf_from(form.x - 1), prec
 
-    prev = None
+    best = None
     for prec in REFINE_LADDER:
         started = time.perf_counter()
         with with_precision(prec + 32):
-            cs = poly.coeffs_mp(real=True)
-            hi = cs[::-1]
-            dhi = [cs[k] * k for k in range(d, 0, -1)]
-            runaway = 100 * (1 + max(abs(c) for c in cs[:-1]) / abs(cs[-1]))
-            x = mp.mpf(prev) if prev is not None else mpf_from(_to_real_seed(seed))
+            cs = form.coeffs_mp()
+            x = mpf_from(form.x)
+            t = +best if best is not None else mpf_from(_to_real_seed(seed))
             step_tol = mp.mpf(2) ** (-(prec - 24))
             settled = False
             steps = 0
             for steps in range(1, MAX_NEWTON_STEPS_PER_LEVEL + 1):
-                p = polyval(hi, x)
-                dp = polyval(dhi, x)
-                if dp == 0:
-                    raise RefinementFailureError(
-                        "derivative vanished during Newton refinement")
-                step = p / dp
-                x = x - step
-                if abs(x) > runaway:
-                    raise RefinementFailureError(
-                        "Newton iteration left the root region (seed outside basin?)")
-                if abs(step) <= step_tol * (1 + abs(x)):
+                f, df = eval_sparse(cs, n, t)
+                if f == 0:
                     settled = True
                     break
+                try:
+                    step = 1 / (df / f + 1 / (1 - t) + x / (1 - x * t))
+                except ZeroDivisionError:
+                    raise RefinementFailureError(
+                        "Newton step met t = 1, t = beta or a vanishing derivative "
+                        "(seed outside basin?)") from None
+                t = t - step
+                if abs(step) <= step_tol * (1 + abs(t)):
+                    settled = True
+                    break
+            u = mp.mpf(10) ** (-(target_digits + 2)) * abs(t) / n
+            certified = settled and _sign_change(form, t, u, prec + 32)
             log.debug("refine degree=%d level: bits=%d newton_steps=%d settled=%s "
-                      "seconds=%.6f", d, prec, steps, settled,
-                      time.perf_counter() - started)
-            pv = abs(polyval(hi, x))
-            tol = mp.mpf(10) ** (-target_digits)
-            if pv <= tol and prev is not None and \
-                    abs(x - prev) <= tol * (1 + abs(x)):
-                return x, prec
-            prev = x
-    if not settled:
-        raise RefinementFailureError(
-            f"Newton iteration did not settle within {MAX_NEWTON_STEPS_PER_LEVEL} steps "
-            f"at {REFINE_LADDER[-1]} bits (seed outside basin?)")
+                      "bracket=%s seconds=%.6f", n, prec, steps, settled,
+                      mp.nstr(u, 3), time.perf_counter() - started)
+        if not settled:
+            raise RefinementFailureError(
+                f"Newton iteration did not settle within {MAX_NEWTON_STEPS_PER_LEVEL} "
+                f"steps at {prec} bits (seed outside basin?)")
+        if certified:
+            return t, prec
+        best = t
     raise ConvergenceFailureError(
         f"Newton refinement did not certify {target_digits} digits within "
-        f"the precision ladder {REFINE_LADDER}", best=prev)
+        f"the precision ladder {REFINE_LADDER}", best=best)
+
+
+def _sign_change(form: SparseForm, t, u, bits: int) -> bool:
+    """True iff f has opposite strict signs at t - u and t + u, evaluated in
+    outward-rounded interval arithmetic at ``bits``, and neither spurious
+    zero 1 nor beta lies in between."""
+    lo, hi = t - u, t + u
+    beta = form.beta.real_value
+    iv = mp.iv
+    saved, iv.prec = iv.prec, bits
+    try:
+        for z in (iv.mpf(1), iv.mpf(beta.numerator) / beta.denominator):
+            if not (z.b < lo or z.a > hi):
+                return False
+        civ = [iv.mpf(c.numerator) / c.denominator for c in form.coeffs]
+        f_lo = eval_sparse(civ, form.n, iv.mpf(lo))[0]
+        f_hi = eval_sparse(civ, form.n, iv.mpf(hi))[0]
+    finally:
+        iv.prec = saved
+    return (f_lo.b < 0 < f_hi.a) or (f_hi.b < 0 < f_lo.a)
 
 
 def _to_real_seed(seed):

@@ -34,7 +34,7 @@ from .errors import (
     SingularityError,
     UnknownTestFunctionError,
 )
-from .charpoly import charpoly_closed_form
+from .charpoly import charpoly_closed_form, sparse_form
 from .matrices import REAL_GT1, BetaParam
 from .numerics import (
     DEFAULT_PRECISION_BITS,
@@ -156,7 +156,7 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     if verify is None:
         verify = n <= OUTLIER_VERIFY_MAX_ORDER
 
-    poly = charpoly_closed_form(beta, n)
+    form = sparse_form(beta, n)
     small_limit = b - 1
     large_limit = 1 / small_limit
 
@@ -178,19 +178,18 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
             if len(outs) == 2 and len(real_pos) == 2:
                 count_verified = True
 
-    def _try(seed, limit):
+    def _try(seed, offset):
         try:
-            x, prec = refine_real_root_reported(poly, seed, target_digits)
+            x, prec = refine_real_root_reported(form, seed, target_digits)
         except RefinementFailureError:
             return None, None, None
-        with with_precision(max(DEFAULT_PRECISION_BITS, 4 * target_digits)):
+        with with_precision(prec + 32):
             if x <= 0 or abs(abs(x) - 1) <= mpf_from(annulus_eps):
                 return None, None, None
-            err = abs(x - mpf_from(limit))
-            return x, err, prec
+            return x, abs(offset(x)), prec
 
-    small, err_small, prec_s = _try(small_limit, small_limit)
-    large, err_large, prec_l = _try(large_limit, large_limit)
+    small, err_small, prec_s = _try(small_limit, form.offset_small)
+    large, err_large, prec_l = _try(large_limit, form.offset_large)
     precs = [p for p in (prec_s, prec_l) if p is not None]
     diagnostic = None
     if small is None or large is None:

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betaspec import (
     BetaParam,
+    InvalidOrderError,
     InvalidParameterError,
     LimitFunction,
     PoleError,
@@ -22,9 +25,12 @@ from betaspec import (
     limit_derivative,
     poly_to_json,
     reverse_poly,
+    sparse_form,
     split_qr,
     symbolic_t,
 )
+from betaspec.charpoly import eval_sparse
+from betaspec.numerics import QComplex, mpc_from, polyval
 
 BETAS = [BetaParam.parse(s) for s in ("4/3", "3/2", "2", "3", "5")]
 
@@ -239,3 +245,82 @@ def test_precpoly_validation():
         PrecPoly(coeffs=())
     with pytest.raises(InvalidParameterError):
         PrecPoly(coeffs=(Fraction(1), Fraction(0)))
+
+
+# ---------------------------------------------------------------------------
+# The five-term sparse form (1 - t)(1 - t/beta) p_n(t) = a(t) + t**n b(t)
+# ---------------------------------------------------------------------------
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=30)
+SPARSE_BETAS = st.one_of(
+    st.fractions(min_value=1, max_value=2, max_denominator=60)
+    .filter(lambda f: 1 < f < 2).map(BetaParam),
+    st.fractions(min_value=2, max_value=6, max_denominator=60).map(BetaParam),
+    st.builds(QComplex, _FRACTIONS, _FRACTIONS.filter(bool)).map(BetaParam),
+)
+
+
+def _times_spurious_factors(beta, n):
+    """Exact coefficients of (1 - t)(1 - x t) p_n(t), low to high, x = 1/beta."""
+    cs = charpoly_closed_form(beta, n).coeffs
+    x = beta.inverse_powers(1)[0]
+    zero = x * 0
+    out = [zero] * (n + 3)
+    for k, c in enumerate(cs):
+        out[k] = out[k] + c
+        out[k + 1] = out[k + 1] - (1 + x) * c
+        out[k + 2] = out[k + 2] + x * c
+    return out
+
+
+def _sparse_dense(form):
+    a0, a1, b0, b1, b2 = form.coeffs
+    out = [a0 * 0] * (form.n + 3)
+    for k, c in ((0, a0), (1, a1), (form.n, b0), (form.n + 1, b1), (form.n + 2, b2)):
+        out[k] = out[k] + c
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(beta=SPARSE_BETAS, n=st.integers(min_value=1, max_value=80))
+def test_sparse_form_equals_product_exactly(beta, n):
+    form = sparse_form(beta, n)
+    assert (form.beta, form.n) == (beta, n)
+    assert form.x == beta.inverse_powers(1)[0]
+    assert _sparse_dense(form) == _times_spurious_factors(beta, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(beta=SPARSE_BETAS, n=st.integers(min_value=1, max_value=80),
+       t=st.fractions(min_value=-3, max_value=3, max_denominator=1000))
+def test_sparse_eval_matches_dense_horner(beta, n, t):
+    # Each evaluation at 512 bits is off the exact value by at most
+    # 4 (d + 2) 2**-512 times the sum of |term| (the Horner running-error
+    # bound, with room for complex products), where d = n + 2 is the degree;
+    # so the two differ by at most twice that.
+    form = sparse_form(beta, n)
+    dense = _times_spurious_factors(beta, n)
+    with mp.workprec(512):
+        tv = mp.mpf(t.numerator) / t.denominator
+        cs = form.coeffs_mp()
+        f, df = eval_sparse(cs, n, tv)
+        hi = [mpc_from(c) for c in reversed(dense)]
+        dhi = [mpc_from(c * k) for k, c in reversed(list(enumerate(dense))) if k]
+        absf = sum(abs(c) * abs(tv) ** k for k, c in enumerate(reversed(hi)))
+        absdf = sum(abs(c) * abs(tv) ** k for k, c in enumerate(reversed(dhi)))
+        bound = 8 * (n + 4) * mp.mpf(2) ** -512
+        assert abs(f - polyval(hi, mpc_from(tv))) <= bound * absf
+        assert abs(df - polyval(dhi, mpc_from(tv))) <= bound * absdf
+
+
+def test_sparse_form_is_closed_form_in_x():
+    # S_n = x + ... + x**n; beta = 1 (x = 1) takes S_n = n
+    for text, n in (("4/3", 7), ("1", 5), ("9/8", 1)):
+        beta = BetaParam.parse(text)
+        x = beta.inverse_powers(1)[0]
+        s = sum(beta.inverse_powers(n))
+        form = sparse_form(beta, n)
+        assert form.a == (1 - x, -x)
+        assert form.b == (s + x ** (n + 1), -(1 + x * s), x)
+    with pytest.raises(InvalidOrderError):
+        sparse_form(BetaParam.parse("4/3"), 0)

@@ -2,9 +2,12 @@
 import hashlib
 import json
 import logging
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
+from betaspec import BetaParam, charpoly_closed_form
 from betaspec.cli import build_parser, run
 from betaspec.spectra import eigenvalues
 
@@ -19,10 +22,10 @@ REFERENCE_OUTPUTS = (
     (("singvals", "--beta=1+1i", "--n", "12", "--digits", "60", "--out", "{out}/sv.csv"),
      "sv.csv", "cfba90c3edc572ebe1cf7907386ece1344cde4a05f37f5cae665ac869154327f"),
     (("outliers", "--beta=4/3", "--n", "60", "--digits", "60", "--out", "{out}/out.csv"),
-     "out.csv", "c56edb9238b670dcb5e20bbb1efcf5b82047e6b0f609ff50f74cd25fd7dfaca2"),
-    # reaches the 4096-bit refinement level, with power-of-two denominators
+     "out.csv", "276072a5b92174ef4f34ed0384fccd50f6f311f58771f2f646258aafe3965c08"),
+    # errors far below the printed roots: err_small is about 1e-763
     (("outliers", "--beta=4/3", "--n", "1600", "--digits", "100", "--out", "{out}/out.csv"),
-     "out.csv", "269853b52d9272b0fbc2107ccdabc799a65ebd0d5fa7743990017b588959f1a3"),
+     "out.csv", "1d4d9857837a74fadb60cf99c1c9fe2ade572c4a7c08ec49b2ea74c9801781df"),
     # exact power method and trace of the beta = 1 block
     (("beta1", "--n", "3,50,400", "--digits", "40", "--format", "json", "--out", "{out}/b1.json"),
      "b1.json", "9d30452b4cd9eeeb51ad67d1affca76156f2f44a7607f15d012600d0d13d8c18"),
@@ -163,12 +166,28 @@ def test_charpoly_exact_csv(capsys):
 
 
 def test_outliers_ladder_exhaustion_exits_1(monkeypatch, capsys):
-    # the outlier near 8 needs about n * log2(8) bits, more than 512
+    # a 200-digit certificate needs about 680 bits, more than 512
     monkeypatch.setattr("betaspec.rootfind.REFINE_LADDER", (256, 512))
-    code, out, err = _run(capsys, "outliers", "--beta=9/8", "--n", "200")
+    code, out, err = _run(capsys, "outliers", "--beta=9/8", "--n", "200",
+                          "--digits", "200")
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "ConvergenceFailureError"
+
+
+def test_outliers_far_outlier_at_order_3200(capsys, dense_newton_root):
+    # the outlier near 8 sits about 1.67e-163 from its limit; on the dense
+    # power basis it needs about 3200 * log2(8) bits
+    code, out, _ = _run(capsys, "outliers", "--beta=9/8", "--n", "3200",
+                        "--digits", "100")
+    assert code == 0
+    n, large, small, err_large, err_small = out.strip().splitlines()[1].split(",")
+    assert n == "3200" and large and small and err_small
+    root = dense_newton_root(charpoly_closed_form(BetaParam.parse("9/8"), 3200),
+                             Fraction(8), 12000)
+    with mp.workprec(12000):
+        assert mp.nstr(abs(root - 8), 12) == mp.nstr(mp.mpf(err_large), 12)
+        assert abs(mp.mpf(err_large) / mp.mpf("1.6705e-163") - 1) < 1e-4
 
 
 def test_debug_logging_leaves_stdout_unchanged(caplog, capsys):

@@ -17,8 +17,9 @@ from betaspec import (
     refine_real_root_reported,
     reverse_poly,
     solve_all,
+    sparse_form,
 )
-from betaspec.rootfind import _aberth_level, _circle_guesses
+from betaspec.rootfind import _aberth_level, _circle_guesses, _sign_change
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
 
@@ -140,29 +141,52 @@ def test_root_report_schema():
 
 def test_refine_reference_value_from_seed():
     beta = BetaParam.parse("4/3")
-    p = charpoly_closed_form(beta, 50)
-    x = refine_real_root_reported(p, 3.0, 50)[0]
+    x = refine_real_root_reported(sparse_form(beta, 50), 3.0, 50)[0]
     assert mp.nstr(x, 51) == REFERENCE_N50
 
 
 def test_refine_near_interior_limit():
     beta = BetaParam.parse("4/3")
-    p = charpoly_closed_form(beta, 60)
-    x = refine_real_root_reported(p, Fraction(1, 3), 40)[0]
+    x = refine_real_root_reported(sparse_form(beta, 60), Fraction(1, 3), 40)[0]
     with mp.workprec(300):
         assert abs(x - mp.mpf(1) / 3) < 1e-10
 
 
 def test_refine_degree_one_exact():
     beta = BetaParam.parse("2")
-    p = charpoly_closed_form(beta, 1)
-    assert refine_real_root_reported(p, 100.0, 30)[0] == mp.mpf(-0.5)
+    assert refine_real_root_reported(sparse_form(beta, 1), 100.0, 30)[0] == mp.mpf(-0.5)
+
+
+def test_sign_change_certificate_brackets_only_a_root():
+    form = sparse_form(BetaParam.parse("4/3"), 50)
+    root, bits = refine_real_root_reported(form, 3.0, 50)
+    with mp.workprec(bits + 32):
+        u = mp.mpf(10) ** -52 * root / 50
+        assert _sign_change(form, root, u, bits + 32)
+        assert not _sign_change(form, root + 3 * u, u, bits + 32)
+        # the spurious zero t = beta of (1 - t)(1 - t/beta) p_n is no root of p_n
+        assert not _sign_change(form, mp.mpf(4) / 3, u, bits + 32)
+
+
+# beta close to 2 at a tiny order: Newton from 19/20 cycles instead of
+# converging, since no real eigenvalue has separated from the circle there
+CYCLING = (BetaParam.parse("39/20"), 8, Fraction(19, 20))
 
 
 def test_refine_no_real_root_fails():
-    p = PrecPoly(coeffs=(Fraction(1), Fraction(0), Fraction(1)))  # t^2 + 1
+    beta, n, seed = CYCLING
     with pytest.raises(RefinementFailureError):
-        refine_real_root_reported(p, 0.5, 20)[0]
+        refine_real_root_reported(sparse_form(beta, n), seed, 20)
+
+
+def test_refine_stops_at_first_unsettled_level(caplog):
+    beta, n, seed = CYCLING
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        with pytest.raises(RefinementFailureError):
+            refine_real_root_reported(sparse_form(beta, n), seed, 20)
+    refine = [r.getMessage() for r in caplog.records if r.message.startswith("refine")]
+    assert len(refine) == 1
+    assert "bits=256 " in refine[0] and "settled=False" in refine[0]
 
 
 def test_sorted_by_argument():
@@ -182,8 +206,7 @@ def test_solver_logs_one_debug_record_per_level(caplog):
     beta = BetaParam.parse("4/3")
     with caplog.at_level(logging.DEBUG, logger="betaspec"):
         rs = solve_all(charpoly_closed_form(beta, 12), 25)
-        root, bits = refine_real_root_reported(charpoly_closed_form(beta, 30),
-                                               Fraction(3), 40)
+        root, bits = refine_real_root_reported(sparse_form(beta, 30), Fraction(3), 40)
     solve = [r.getMessage() for r in caplog.records if r.message.startswith("solve_all")]
     refine = [r.getMessage() for r in caplog.records if r.message.startswith("refine")]
     assert all(r.name == "betaspec" and r.levelno == logging.DEBUG for r in caplog.records)
@@ -194,7 +217,12 @@ def test_solver_logs_one_debug_record_per_level(caplog):
     assert sum(int(m.split("sweeps=")[1].split()[0]) for m in solve) == rs.iterations
     assert all("converged=True" in m and "seconds=" in m for m in solve[-2:])
     assert [int(m.split("bits=")[1].split()[0]) for m in refine][-1] == bits
-    assert all("settled=True" in m and "newton_steps=" in m for m in refine)
+    assert all("settled=True" in m and "newton_steps=" in m and "seconds=" in m
+               for m in refine)
+    # the certificate half-width u = 10**-(digits + 2) |root| / n, to 3 digits
+    u = float(root) * 1e-42 / 30
+    assert all(abs(float(m.split("bracket=")[1].split()[0]) / u - 1) < 1e-2
+               for m in refine)
 
 
 def _aberth_level_reference(hi, dhi, z, prec, conv_shift=32, max_sweeps=500):

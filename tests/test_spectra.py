@@ -91,14 +91,45 @@ def test_find_outliers_below_clustering_onset():
 
 
 def test_find_outliers_ladder_exhaustion_raises(monkeypatch):
-    # the outlier near 8 needs about n * log2(8) bits, more than 512: running
-    # out of the ladder is a failure, not an outlier missing from the report
+    # a 200-digit certificate needs about 3.3 * 202 + log2(200), some 680
+    # bits, more than 512: running out of the ladder is a failure, not an
+    # outlier missing from the report
     from betaspec import ConvergenceFailureError
 
     monkeypatch.setattr("betaspec.rootfind.REFINE_LADDER", (256, 512))
     with pytest.raises(ConvergenceFailureError) as exc:
-        find_outliers(BetaParam.parse("9/8"), 200, 30, verify=False)
+        find_outliers(BetaParam.parse("9/8"), 200, 200, verify=False)
     assert exc.value.best is not None
+
+
+@pytest.mark.parametrize("beta_text,n", [("11/8", 800), ("4/3", 1600)])
+def test_outlier_errors_match_dense_newton(dense_newton_root, beta_text, n):
+    # every printed digit of both errors, against Newton on the dense
+    # coefficients at 16000 bits, where the root is resolved far below
+    # either error (err_small is about 1e-763 at 4/3, n = 1600)
+    beta = BetaParam.parse(beta_text)
+    digits = 100
+    rec = find_outliers(beta, n, digits, verify=False)
+    poly = charpoly_closed_form(beta, n)
+    b = beta.real_value
+    for got, got_err, limit in ((rec.small, rec.err_small, b - 1),
+                                (rec.large, rec.err_large, 1 / (b - 1))):
+        root = dense_newton_root(poly, limit, 16000)
+        with mp.workprec(16000):
+            err = abs(root - mp.mpf(limit.numerator) / limit.denominator)
+        assert mp.nstr(got, digits) == mp.nstr(root, digits)
+        assert mp.nstr(got_err, digits) == mp.nstr(err, digits)
+
+
+def test_outlier_errors_decrease_past_the_root_resolution():
+    # err_small falls below 10**-100 |small| from n = 400 on, so only an
+    # error resolved beyond the printed root keeps decreasing
+    beta = BetaParam.parse("4/3")
+    recs = [find_outliers(beta, n, 100) for n in (400, 800, 1600, 2400)]
+    for key in ("err_small", "err_large"):
+        errs = [getattr(r, key) for r in recs]
+        assert all(e1 < e0 for e0, e1 in zip(errs, errs[1:])), (key, errs)
+    assert recs[-1].err_small < mp.mpf(10) ** -1100
 
 
 def test_cluster_count_at_order_200():
