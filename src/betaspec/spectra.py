@@ -18,6 +18,7 @@ sets as distributions.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,12 +39,13 @@ from .charpoly import charpoly_closed_form, sparse_form
 from .matrices import REAL_GT1, BetaParam
 from .numerics import (
     DEFAULT_PRECISION_BITS,
+    QComplex,
     decimal_str,
     mpc_from,
     mpf_from,
     with_precision,
 )
-from .rootfind import RootSet, refine_real_root_reported, solve_all
+from .rootfind import RootSet, log, refine_real_root_reported, solve_all
 
 DEFAULT_EIG_DIGITS = 30
 OUTLIER_ANNULUS_EPS = 0.05
@@ -211,57 +213,54 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
 # Singular values
 # ---------------------------------------------------------------------------
 
-def _gram_apply(w, c, x):
-    """Apply B*B = diag(1,..,1,0) + w e^T + e w* + c e e^T to x, O(n)."""
-    n = len(x)
-    ex = sum(x)
-    wx = sum(mp.conj(w[i]) * x[i] for i in range(n))
-    out = [x[i] + w[i] * ex + wx + c * ex for i in range(n)]
-    out[n - 1] -= x[n - 1]
-    return out
+def _geometric(z, m: int):
+    """Exact z + z**2 + ... + z**m from one power of z."""
+    d = 1 - z
+    return z * (1 - z ** m) / d if d else m
 
 
 def singular_values(beta: BetaParam, n: int, bits: int = DEFAULT_PRECISION_BITS) -> list:
-    """Singular values of the order-n member, sorted nonincreasing.
+    """Singular values of the order-n member, sorted nonincreasing, each to
+    ``bits`` of relative accuracy.
 
-    B*B differs from diag(1,...,1,0) by a rank-2 correction spanned by the
-    all-ones vector e and the shifted correction w, so the orthogonal
-    complement of span{e, w, e_n} is an exact eigenspace with eigenvalue 1.
-    The Gram matrix projected onto that span is a Hermitian block of size
-    <= 3, diagonalised by :func:`mpmath.eighe` at ``bits`` precision: O(n)
-    total work, the same spectrum as a dense solve.  For n >= 3, e, w and
-    e_n are independent unless beta = 1, so exactly n - 3 values equal 1
-    when beta != 1, and n - 2 when beta = 1 (where w = e - e_n).
+    With x = 1/beta, u_j = x^j - [j = 1] and w = (u_2, ..., u_n, 0),
+    B*B = I - e_n e_n^T + w e^T + e w* + |u|^2 e e^T is the identity outside
+    span{e_n, e - e_n, w}, and on an orthonormal basis of that span it is a
+    Hermitian block H of size k <= 3 with exact geometric-sum entries (k < 3
+    only at n <= 2 and at beta = 1).  The least eigenvalue of H is at least
+    det / trace^(k-1), with det H = |1 - x|^2 and trace H exact, so by Weyl's
+    bound :func:`mpmath.eighe` needs log2(trace^k / det) bits above ``bits``.
+    At beta = 1 (det = 0) the eigenvalues of H are exactly trace and 0.
     """
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
+    started = time.perf_counter()
+    x = QComplex(Fraction(1)) / beta.value
+    r2 = x.abs2()
+    sw = x * _geometric(x, n - 1)
+    ww = r2 * _geometric(r2, n - 1)
+    c = (x - 1).abs2() + ww
+    alpha = sw / (n - 1) if n > 1 else sw  # w's coefficient on f; sw = 0 at n = 1
+    rho2 = ww - (n - 1) * alpha.abs2()
+    k = min(n, 2) + (rho2 != 0)
+    trace = 2 + 2 * sw.re + n * c - (3 - k)
+    det = (1 - x).abs2()
+    extra = int(trace ** k / det).bit_length() + 32 if det else 0
+    with with_precision(bits + extra):
+        if det:
+            s, rho = mp.sqrt(n - 1), mp.sqrt(mpf_from(rho2))
+            h12 = s * mpc_from(alpha.conjugate() + c)
+            block = [[mpf_from(c), h12, rho],
+                     [mp.conj(h12), mpf_from(1 + (n - 1) * (2 * alpha.re + c)), s * rho],
+                     [rho, s * rho, mp.mpf(1)]]
+            evs = mp.eighe(mp.matrix([row[:k] for row in block[:k]]), eigvals_only=True)
+        else:
+            evs = [mpf_from(trace), mp.mpf(0)][:k]
     with with_precision(bits):
-        inv_powers = beta.inverse_powers(n)
-        u = [mpc_from(inv_powers[j]) - (1 if j == 0 else 0) for j in range(n)]
-        if n == 1:
-            return [abs(u[0])]
-
-        w = [u[j + 1] for j in range(n - 1)] + [mp.mpc(0)]
-        c = sum(abs(x) ** 2 for x in u)
-        e = [mp.mpc(1)] * n
-        en = [mp.mpc(0)] * (n - 1) + [mp.mpc(1)]
-        basis = []
-        drop_tol = mp.mpf(2) ** (-(bits // 2))
-        for vec in (e, w, en):
-            v = list(vec)
-            for b in basis:
-                ip = sum(mp.conj(b[i]) * v[i] for i in range(n))
-                v = [v[i] - ip * b[i] for i in range(n)]
-            nrm = mp.sqrt(sum(abs(x) ** 2 for x in v))
-            if nrm > drop_tol:
-                basis.append([x / nrm for x in v])
-        k = len(basis)
-        images = [_gram_apply(w, c, b) for b in basis]
-        block = [[sum(mp.conj(basis[i][t]) * images[j][t] for t in range(n))
-                  for j in range(k)] for i in range(k)]
-        evs = mp.eighe(mp.matrix(block), eigvals_only=True)
-        sv = [mp.sqrt(max(ev, mp.mpf(0))) for ev in evs]
-        return sorted(sv + [mp.mpf(1)] * (n - k), reverse=True)
+        sv = [mp.sqrt(max(ev, 0)) for ev in evs]
+    log.debug("singvals n=%d rank=%d bits=%d extra_bits=%d seconds=%.6f",
+              n, k, bits, extra, time.perf_counter() - started)
+    return sorted(sv + [mp.mpf(1)] * (n - k), reverse=True)
 
 
 # ---------------------------------------------------------------------------

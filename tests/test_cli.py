@@ -29,6 +29,9 @@ REFERENCE_OUTPUTS = (
     # exact power method and trace of the beta = 1 block
     (("beta1", "--n", "3,50,400", "--digits", "40", "--format", "json", "--out", "{out}/b1.json"),
      "b1.json", "9d30452b4cd9eeeb51ad67d1affca76156f2f44a7607f15d012600d0d13d8c18"),
+    # the order the structured benchmark runs; pins the closed-form Gram block
+    (("singvals", "--beta=4/3", "--n", "1600", "--digits", "30", "--out", "{out}/sv.csv"),
+     "sv.csv", "705606948c39fce8bcdc65543d32714c71982f5df3942fb5837d9186902ec0e3"),
 )
 
 
@@ -191,15 +194,24 @@ def test_outliers_far_outlier_at_order_3200(capsys, dense_newton_root):
 
 
 def test_debug_logging_leaves_stdout_unchanged(caplog, capsys):
-    argv = ["eigs", "--beta", "4/3", "--n", "12", "--digits", "25"]
-    eigenvalues.cache_clear()
-    code, quiet, _ = _run(capsys, *argv)
-    eigenvalues.cache_clear()
-    with caplog.at_level(logging.DEBUG, logger="betaspec"):
-        code_logged, logged, _ = _run(capsys, *argv)
-    assert code == code_logged == 0
-    assert logged == quiet
-    assert any("bits=" in r.getMessage() for r in caplog.records)
+    for argv, record in ((["eigs", "--beta", "4/3", "--n", "12", "--digits", "25"], "solve_all"),
+                         (["singvals", "--beta", "4/3", "--n", "50"], "singvals")):
+        eigenvalues.cache_clear()
+        code, quiet, _ = _run(capsys, *argv)
+        eigenvalues.cache_clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="betaspec"):
+            code_logged, logged, _ = _run(capsys, *argv)
+        assert code == code_logged == 0
+        assert logged == quiet
+        assert any(r.getMessage().startswith(record) and "bits=" in r.getMessage()
+                   for r in caplog.records)
+
+
+def test_singvals_beta_one_prints_exact_zero(capsys):
+    code, out, _ = _run(capsys, "singvals", "--beta", "1", "--n", "50")
+    assert code == 0
+    assert out.splitlines()[-1] == "0.0"
 
 
 def test_determinism_byte_identical(tmp_path, capsys):
@@ -260,7 +272,7 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,name,digest", REFERENCE_OUTPUTS,
                          ids=["reproduce", "singvals", "outliers", "outliers-4096bit",
-                              "beta1"])
+                              "beta1", "singvals-n1600"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -1,13 +1,17 @@
 """Spectral analytics: clustering, outliers, singular values, averaged sums."""
+import logging
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from betaspec import (
     BetaParam,
     InvalidParameterError,
+    QComplex,
     TestFunction,
     UnknownTestFunctionError,
     build_beta_matrix,
@@ -180,6 +184,57 @@ def test_structured_equals_dense_jacobi_and_lapack(beta_s, n):
     dense = build_beta_matrix(beta, n).dense_numpy()
     ref = sorted(np.linalg.svd(dense, compute_uv=False).tolist(), reverse=True)
     assert max(abs(float(x) - y) for x, y in zip(a, ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 200])
+def test_singular_values_beta_one_exact_zero(n):
+    # B(1, n) is singular (kernel vector (1, ..., 1, -n)) and B*B - I has rank 2
+    sv = singular_values(BetaParam.parse("1"), n)
+    assert sv[-1] == 0
+    assert sum(1 for s in sv if s == mp.mpf(1)) == n - 2
+
+
+def _abs2(z):
+    return z.abs2() if isinstance(z, QComplex) else z * z
+
+
+_SV_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=20)
+SV_BETAS = st.one_of(
+    st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=60)
+    .filter(lambda f: Fraction(1, 8) < f != 1).map(BetaParam),
+    st.builds(QComplex, _SV_FRACTIONS, _SV_FRACTIONS.filter(bool))
+    .filter(lambda z: Fraction(1, 16) <= z.abs2() <= 36).map(BetaParam),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=SV_BETAS, n=st.integers(min_value=1, max_value=120))
+@example(beta=BetaParam.parse("1/3"), n=50)  # sigma_min needs 491 bits above 256
+def test_singular_values_product_and_frobenius(beta, n):
+    sv = singular_values(beta, n, 256)
+    assert len(sv) == n
+    assert all(a >= b for a, b in zip(sv, sv[1:]))
+    if n >= 3:
+        assert sum(1 for s in sv if s != 1) == 3
+    x = Fraction(1) / beta.value if beta.is_real else beta.value.inverse()
+    det2 = _abs2(1 - x)  # |det B|^2
+    frobenius = sum(_abs2(e) for row in build_beta_matrix(beta, n).dense_exact() for e in row)
+    with mp.workprec(512):
+        tol = mp.mpf(2) ** -200
+        det = mp.sqrt(mp.mpf(det2.numerator) / det2.denominator)
+        assert abs(mp.fprod(sv) / det - 1) <= tol
+        fro = mp.mpf(frobenius.numerator) / frobenius.denominator
+        assert abs(mp.fsum(s * s for s in sv) / fro - 1) <= tol
+
+
+def test_singular_values_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        singular_values(BetaParam.parse("1"), 50)
+        singular_values(BetaParam.parse("4/3"), 50)
+    records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("singvals")]
+    assert len(records) == 2
+    assert "n=50 rank=2 " in records[0] and "extra_bits=0 " in records[0]
+    assert "n=50 rank=3 " in records[1] and "seconds=" in records[1]
 
 
 def test_weyl_constant_window_gap_zero():
