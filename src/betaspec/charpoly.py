@@ -54,9 +54,11 @@ class PrecPoly:
     """Degree-indexed coefficient vector, exact or multiprecision.
 
     ``coeffs`` runs low to high.  Exact polynomials hold Fraction or QComplex
-    coefficients; inexact ones hold mpf/mpc values.  When
-    the polynomial is a characteristic polynomial of the family, ``beta``
-    records the parameter so downstream reports can carry provenance.
+    coefficients; inexact ones hold mpf/mpc values.  ``beta`` set means
+    "these are the closed-form coefficients of B(beta, n)": only
+    :func:`charpoly_closed_form` sets it.  Reports carry it as provenance,
+    and :func:`~betaspec.rootfind.solve_all` solves such a polynomial on its
+    five-term :func:`sparse_form` when |beta| > 1.
     """
 
     coeffs: tuple

@@ -1,27 +1,42 @@
-"""Simultaneous polynomial root finding at arbitrary precision.
+"""Polynomial root finding at arbitrary precision.
 
 This is the eigenvalue engine: the spectra of the matrix family are computed
-as roots of the closed-form characteristic polynomials.  The solver runs
-Ehrlich-Aberth simultaneous iteration (no deflation, so the unit-circle
-cluster stays coupled) over a doubling precision ladder
-256 -> 512 -> 1024 -> 2048 bits, accepting only when two successive levels
-agree on every root to the requested digit count and every residual passes
-its certificate threshold.
+as roots of the closed-form characteristic polynomials.  :func:`solve_all`
+has two routes, both over the doubling precision ladder
+256 -> 512 -> 1024 -> 2048 bits, and both accept a level only when it and
+the previous level agree on every root to the requested digit count and
+every residual passes its dense certificate threshold.
 
-Initial guesses are degree-many points on the Cauchy-bound circle
-``1 + max|c_k| / |c_d|`` with a fixed irrational angular offset; the first
-sweeps run in guarded IEEE float64 (pennies compared to an mp sweep), after
-which the multiprecision ladder takes over.  Identical inputs give identical
-digit strings: everything is sequential and deterministic.
+* The sparse route, for the closed-form p_n with |beta| > 1 (``poly.beta``
+  set).  The zeros of f = (1 - t)(1 - t/beta) p_n = a + t**n b are seeded
+  from the phase equation t**n = -a(t)/b(t) near the unit circle and from
+  the zeros of a and b off it, then polished by Newton on the five-term form
+  at O(log n) operations per step (for real beta, on the closed upper
+  half-plane only).  A level is accepted only if, besides agreeing, the n + 2
+  inclusion disks |zeta - z| <= (n + 2) |f(z)/f'(z)|, bounded in
+  outward-rounded interval arithmetic, are pairwise disjoint, so each holds
+  exactly one zero of f, and two of them hold the spurious zeros 1 and
+  beta.  The other n are the eigenvalues; a real one is returned with
+  imaginary part exactly 0.  If the seeds are not n + 2 or no level
+  certifies, the route logs why and the Aberth ladder runs instead.
+* The Ehrlich-Aberth ladder, for every other polynomial: simultaneous
+  iteration (no deflation, so the unit-circle cluster stays coupled) from
+  degree-many points on the Cauchy-bound circle ``1 + max|c_k| / |c_d|``
+  with a fixed irrational angular offset; the first sweeps run in guarded
+  IEEE float64, after which the multiprecision ladder takes over.
+
+Identical inputs give identical digit strings: everything is sequential and
+deterministic.
 
 Single real roots (the outliers) are refined by Newton iteration on the
-five-term sparse form of p_n instead, each certified by a sign change in
+five-term sparse form of p_n as well, each certified by a sign change in
 interval arithmetic (:func:`refine_real_root_reported`).
 """
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +52,7 @@ from .errors import (
     InvalidParameterError,
     RefinementFailureError,
 )
-from .charpoly import PrecPoly, SparseForm, eval_sparse
+from .charpoly import PrecPoly, SparseForm, eval_sparse, sparse_form
 from .matrices import BetaParam
 from .numerics import QComplex, decimal_str, mpc_from, mpf_from, polyval, with_precision
 
@@ -60,6 +75,12 @@ class RootSet:
     |p(root_k)| / |leading coefficient|; it is certified to stay below
     ``thresholds[k] = 10**-target_digits * (1 + |root_k|)**degree * C`` where
     C is the coefficient scale max(1, max|c_k|/|c_d|).
+
+    On the sparse route every root also lies in a disjoint inclusion disk
+    that holds exactly one eigenvalue (see :func:`solve_all`), and a root
+    with imaginary part exactly 0 is certified real.  ``iterations`` counts
+    Aberth sweeps on the ladder route; on the sparse route it is the sum over
+    levels of the most Newton steps any root took.
     """
 
     roots: tuple
@@ -230,13 +251,251 @@ def _certificates(poly, roots, prec, target_digits):
         return residuals, thresholds
 
 
+def _agree(z, prev, target_digits) -> bool:
+    """True iff every root moved by at most 10**-target_digits (1 + |z|)
+    from the previous level."""
+    agree_tol = mp.mpf(10) ** (-target_digits)
+    return all(abs(a - b) <= agree_tol * (1 + abs(a)) for a, b in zip(z, prev))
+
+
+def _root_set(poly, roots, certs, prec, iterations, target_digits) -> RootSet:
+    """The certified roots, sorted by argument, as a :class:`RootSet`."""
+    residuals, thresholds = certs
+    with with_precision(prec + 32):
+        im_snap = mp.mpf(10) ** (-(target_digits / 2))
+        order = sorted(range(len(roots)), key=lambda j: _sort_key(roots[j], im_snap))
+    return RootSet(roots=tuple(roots[j] for j in order),
+                   residuals=tuple(residuals[j] for j in order),
+                   thresholds=tuple(thresholds[j] for j in order),
+                   precision_used=prec, iterations=iterations,
+                   target_digits=target_digits, beta=poly.beta, n=poly.degree)
+
+
+# ---------------------------------------------------------------------------
+# Sparse route: Newton on the five-term form from phase seeds
+# ---------------------------------------------------------------------------
+
+def _phase_seeds(form: SparseForm) -> list:
+    """Float64 seeds for the n + 2 zeros of f = a + t**n b.
+
+    Near the unit circle the zeros solve t**n = r(t) with r = -a/b, so their
+    arguments solve n theta - arg r(e^{i theta}) in 2 pi Z.  The phase is
+    unwrapped on a grid of about 16 (n + 2) points, each crossing is
+    interpolated, and its seed gets the modulus |r|**(1/n) there; t = 1 is
+    the k = 0 solution (r(1) = 1) and is seeded exactly.  Inside the circle
+    f is close to a and outside it to t**n b, so the zero of a inside and the
+    zeros of b outside are seeds as well.
+
+    For real beta only the closed upper half-plane is seeded: a real seed is
+    a float and stands for itself, a complex one (positive imaginary part)
+    for itself and its conjugate.
+    """
+    n, real = form.n, form.is_real
+    a0, a1, b0, b1, b2 = (_as_complex(c) for c in form.coeffs)
+
+    def r(theta):
+        t = np.exp(1j * theta)
+        return -(a0 + a1 * t) / (b0 + (b1 + b2 * t) * t)
+
+    points = 8 * (n + 2) if real else 16 * (n + 2)
+    end = np.pi if real else 2 * np.pi
+    theta = np.linspace(0.0, end, points + 1)
+    with np.errstate(all="ignore"):
+        rv = r(theta)
+    if not (np.all(np.isfinite(rv)) and np.all(rv != 0)):
+        return []
+    # phase / 2 pi: 0 at t = 1; at the end a multiple of 1/2 (r(-1) is real)
+    # or, over the whole circle, an integer
+    phase = (n * theta - np.unwrap(np.angle(rv))) / (2 * np.pi)
+    phase[0] = 0.0
+    quantum = 0.5 if real else 1.0
+    phase[-1] = round(phase[-1] / quantum) * quantum
+    seeds = [1.0 if real else 1 + 0j]
+    for i in range(points):
+        u, v = phase[i], phase[i + 1]
+        ks = (range(math.floor(u) + 1, math.floor(v) + 1) if v > u
+              else range(math.ceil(v), math.ceil(u)))
+        for k in ks:
+            if i == points - 1 and k == v:
+                # theta = pi is a real seed; theta = 2 pi is t = 1 again
+                if real:
+                    seeds.append(-float(abs(r(np.pi))) ** (1 / n))
+                continue
+            th = theta[i] + (k - u) / (v - u) * (theta[i + 1] - theta[i])
+            seeds.append(complex(abs(r(th)) ** (1 / n) * np.exp(1j * th)))
+    za = -a0 / a1  # beta - 1
+    if abs(za) < 1:
+        seeds.append(za.real if real else za)
+    for zb in np.roots([b2.real, b1.real, b0.real] if real else [b2, b1, b0]):
+        if abs(zb) > 1 and not (real and zb.imag < 0):
+            seeds.append(float(zb.real) if real and zb.imag == 0 else complex(zb))
+    return seeds
+
+
+def _newton(cs, n: int, t, tol):
+    """Newton on f = a + t**n b from ``t`` until the step is at most
+    tol (1 + |t|).  Returns (root, steps, settled)."""
+    for steps in range(1, MAX_NEWTON_STEPS_PER_LEVEL + 1):
+        f, df = eval_sparse(cs, n, t)
+        if f == 0:
+            return t, steps, True
+        if df == 0:
+            return t, steps, False
+        step = f / df
+        t = t - step
+        if abs(step) <= tol * (1 + abs(t)):
+            return t, steps, True
+    return t, MAX_NEWTON_STEPS_PER_LEVEL, False
+
+
+def _iv_point(iv, z):
+    """``z`` (exact rational, QComplex, mpf or mpc) as an ``mp.iv`` interval,
+    rounded outward at ``iv.prec``."""
+    if isinstance(z, (Fraction, QComplex)):
+        re, im = (z.re, z.im) if isinstance(z, QComplex) else (z, None)
+        re = iv.mpf(re.numerator) / re.denominator
+        return re if im is None else iv.mpc(re, iv.mpf(im.numerator) / im.denominator)
+    if isinstance(z, mp.mpc):
+        return iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
+    return iv.mpf(z)
+
+
+def _upper(x) -> mp.mpf:
+    """The upper end of an ``mp.iv`` interval, as an mpf."""
+    return mp.make_mpf(x._mpi_[1])
+
+
+def _inclusion_disks(form: SparseForm, roots: list, bits: int):
+    """Certify the iterates of the sparse route as the n + 2 zeros of f.
+
+    ``roots`` are the iterates of :func:`_phase_seeds`' seeds; for real beta
+    the complex ones stand for their conjugates too.  Each zero z gets the
+    disk |zeta - z| <= rho = (n + 2) sup|f(z)| / inf|f'(z)|, bounded above in
+    outward-rounded interval arithmetic from the exact coefficients.  Since
+    f'/f = sum_k 1/(z - zeta_k), every such disk holds a zero of f, and
+    pairwise disjoint disks hold exactly one each.  Returns
+    ``(zeros, eigen, max_radius, min_gap)``: all n + 2 centres, the indices
+    of the n that remain once the disks holding the exact zeros 1 and beta
+    are dropped (None if the disks overlap or those two are not located),
+    the largest radius and the least distance between two disks.
+
+    A real centre's disk is symmetric under conjugation, so the one zero it
+    holds is real: real seeds stay real under Newton, which is why a real
+    eigenvalue comes out with imaginary part exactly 0.
+    """
+    n = form.n
+    zeros = list(roots)
+    if form.is_real:
+        zeros += [mp.conj(z) for z in roots if isinstance(z, mp.mpc)]
+    iv = mp.iv
+    saved, iv.prec = iv.prec, bits
+    try:
+        civ = [_iv_point(iv, c) for c in form.coeffs]
+        rho = []
+        for z in roots:
+            f, df = eval_sparse(civ, n, _iv_point(iv, z))
+            rho.append(_upper((n + 2) * abs(f) / abs(df)) if abs(df).a > 0 else mp.inf)
+        if form.is_real:  # |f| and |f'| are the same at a conjugate
+            rho += [x for x, z in zip(rho, roots) if isinstance(z, mp.mpc)]
+        # Disjointness in float64: the centres round to within 2**-52 |z|
+        # and a computed distance is off by a few ulps, which the margin
+        # 2**-48 (1 + |z_j| + |z_k|) covers; the radii are rounded up.
+        c = np.array([complex(z) for z in zeros])
+        r = np.array([float(x) * (1 + 2.0 ** -50) + 1e-300 for x in rho])
+        with np.errstate(all="ignore"):
+            dist = np.abs(c[:, None] - c[None, :])
+            slack = dist - r[:, None] - r[None, :]
+            margin = 2.0 ** -48 * (1 + np.abs(c)[:, None] + np.abs(c)[None, :])
+        np.fill_diagonal(slack, np.inf)
+        np.fill_diagonal(margin, 0.0)
+        min_gap = float(slack.min())
+        max_radius = max(rho)
+        if not np.all(slack > margin):
+            return zeros, None, max_radius, min_gap
+        spurious = []
+        for point in (Fraction(1), form.beta.value):
+            j = int(np.argmin(np.abs(c - _as_complex(point))))
+            if _upper(abs(_iv_point(iv, zeros[j]) - _iv_point(iv, point))) > rho[j]:
+                return zeros, None, max_radius, min_gap
+            spurious.append(j)
+    finally:
+        iv.prec = saved
+    eigen = [j for j in range(len(zeros)) if j not in spurious]
+    return zeros, eigen, max_radius, min_gap
+
+
+def _refuse(d: int, reason: str) -> None:
+    log.debug("solve_all sparse fallback degree=%d reason=%s", d, reason)
+    return None
+
+
+def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
+    """The sparse route of :func:`solve_all` for closed-form p_n, |beta| > 1.
+
+    Newton on f = (1 - t)(1 - t/beta) p_n = a + t**n b polishes the seeds of
+    :func:`_phase_seeds` at each level of ``PRECISION_LADDER``, O(log n)
+    operations per step.  A level is accepted when every root agrees with
+    the previous level to 10**-D (1 + |z|), the n + 2 inclusion disks of
+    :func:`_inclusion_disks` are pairwise disjoint with 1 and beta in two of
+    them, and every eigenvalue's dense residual passes
+    :func:`_certificates`.  Returns None, with one DEBUG record saying why,
+    when the seeds are not n + 2, when Newton does not settle, when agreed
+    roots give overlapping disks, or when no level certifies.
+    """
+    d = poly.degree
+    form = sparse_form(poly.beta, d)
+    seeds = _phase_seeds(form)
+    count = sum(1 if isinstance(s, float) else 2 for s in seeds) \
+        if form.is_real else len(seeds)
+    if count != d + 2:
+        return _refuse(d, f"seeds={count} zeros={d + 2}")
+    prev = None
+    iterations = 0
+    for prec in PRECISION_LADDER:
+        started = time.perf_counter()
+        with with_precision(prec + 32):
+            cs = form.coeffs_mp()
+            tol = mp.mpf(2) ** (-(prec - 32))
+            start = prev or [mp.mpf(s) if isinstance(s, float) else mp.mpc(s) for s in seeds]
+            polished = [_newton(cs, d, t, tol) for t in start]
+            z = [p[0] for p in polished]
+            steps = max(p[1] for p in polished)
+            settled = all(p[2] for p in polished)
+            eigen = max_radius = min_gap = None
+            certs = None
+            if settled and prev is not None and _agree(z, prev, target_digits):
+                zeros, eigen, max_radius, min_gap = _inclusion_disks(form, z, prec + 32)
+                if eigen is not None:
+                    roots = [mp.mpc(zeros[j]) for j in eigen]
+                    certs = _certificates(poly, roots, prec, target_digits)
+                    if not all(r <= t for r, t in zip(*certs)):
+                        certs = None
+        iterations += steps
+        log.debug("solve_all sparse degree=%d level: bits=%d newton_steps=%d "
+                  "certified=%s max_radius=%s min_gap=%s seconds=%.6f",
+                  d, prec, steps, certs is not None,
+                  "-" if max_radius is None else mp.nstr(max_radius, 3),
+                  "-" if min_gap is None else f"{min_gap:.3g}",
+                  time.perf_counter() - started)
+        if not settled:
+            return _refuse(d, f"newton did not settle at {prec} bits")
+        if certs is not None:
+            return _root_set(poly, roots, certs, prec, iterations, target_digits)
+        if max_radius is not None and eigen is None:
+            return _refuse(d, f"agreed roots have overlapping disks at {prec} bits")
+        prev = z
+    return _refuse(d, "no level certified")
+
+
 def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     """Find all roots of ``poly`` certified to ``target_digits`` digits.
 
     Precision escalates through the ladder until two successive levels agree
     on every root to the digit target and the residual certificates hold;
     otherwise raises :class:`ConvergenceFailureError` carrying the best
-    iterate.
+    iterate.  Closed-form p_n with |beta| > 1 first take the sparse route
+    (:func:`_solve_sparse`), which adds disjoint inclusion disks to the
+    acceptance test; when it declines, the Aberth ladder runs.
     """
     if target_digits < 1:
         raise InvalidParameterError("target_digits must be >= 1")
@@ -253,6 +512,11 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
                            thresholds=tuple(thresholds), precision_used=prec,
                            iterations=1, target_digits=target_digits,
                            beta=beta, n=d)
+
+    if beta is not None and beta.abs2() > 1:
+        rs = _solve_sparse(poly, target_digits)
+        if rs is not None:
+            return rs
 
     seeds = _float_warm_start(poly.coeffs)
     prev_roots = None
@@ -278,27 +542,11 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
         best = z
         if ok and prev_ok:
             with with_precision(prec + 32):
-                agree_tol = mp.mpf(10) ** (-target_digits)
-                agreed = all(
-                    abs(z[j] - prev_roots[j]) <= agree_tol * (1 + abs(z[j]))
-                    for j in range(d)
-                )
+                agreed = _agree(z, prev_roots, target_digits)
                 if agreed:
-                    residuals, thresholds = _certificates(poly, z, prec, target_digits)
-                    if all(r <= t for r, t in zip(residuals, thresholds)):
-                        im_snap = mp.mpf(10) ** (-(target_digits / 2))
-                        order = sorted(range(d),
-                                       key=lambda j: _sort_key(z[j], im_snap))
-                        return RootSet(
-                            roots=tuple(z[j] for j in order),
-                            residuals=tuple(residuals[j] for j in order),
-                            thresholds=tuple(thresholds[j] for j in order),
-                            precision_used=prec,
-                            iterations=total_sweeps,
-                            target_digits=target_digits,
-                            beta=beta,
-                            n=d,
-                        )
+                    certs = _certificates(poly, z, prec, target_digits)
+                    if all(r <= t for r, t in zip(*certs)):
+                        return _root_set(poly, z, certs, prec, total_sweeps, target_digits)
         prev_roots = z
         prev_ok = ok
     raise ConvergenceFailureError(

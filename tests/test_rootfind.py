@@ -6,6 +6,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import mpf_neg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betaspec import (
     BetaParam,
@@ -19,7 +22,9 @@ from betaspec import (
     solve_all,
     sparse_form,
 )
-from betaspec.rootfind import _aberth_level, _circle_guesses, _sign_change
+from betaspec import rootfind
+from betaspec.numerics import QComplex, decimal_str, fraction_from_mpf
+from betaspec.rootfind import _aberth_level, _circle_guesses, _sign_change, _solve_sparse
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
 
@@ -204,8 +209,10 @@ def test_sorted_by_argument():
 
 def test_solver_logs_one_debug_record_per_level(caplog):
     beta = BetaParam.parse("4/3")
+    # without beta the coefficients take the Aberth ladder
+    aberth_only = PrecPoly(coeffs=charpoly_closed_form(beta, 12).coeffs)
     with caplog.at_level(logging.DEBUG, logger="betaspec"):
-        rs = solve_all(charpoly_closed_form(beta, 12), 25)
+        rs = solve_all(aberth_only, 25)
         root, bits = refine_real_root_reported(sparse_form(beta, 30), Fraction(3), 40)
     solve = [r.getMessage() for r in caplog.records if r.message.startswith("solve_all")]
     refine = [r.getMessage() for r in caplog.records if r.message.startswith("refine")]
@@ -281,3 +288,128 @@ def test_aberth_level_matches_mpmath_objects(beta_text, n):
             assert got[1:] == expected[1:]
             assert [z._mpc_ for z in got[0]] == [z._mpc_ for z in expected[0]]
     assert got[2]
+
+
+# ---------------------------------------------------------------------------
+# Sparse route: Newton on the five-term form, certified by inclusion disks
+# ---------------------------------------------------------------------------
+
+def _aberth(poly, digits):
+    # the same coefficients without beta take the Aberth ladder
+    return solve_all(PrecPoly(coeffs=poly.coeffs), digits)
+
+
+def _same_roots(got, ref, digits):
+    assert len(got.roots) == len(ref.roots)
+    assert optimal_match_distance(got.roots, ref.roots) < 10 ** -(digits - 2)
+    assert [decimal_str(z.real, digits) for z in got.roots] == \
+        [decimal_str(z.real, digits) for z in ref.roots]
+
+
+_CROSS_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+CROSS_BETAS = st.one_of(
+    st.fractions(min_value=1, max_value=2, max_denominator=40)
+    .filter(lambda f: 1 < f < 2).map(BetaParam),
+    st.fractions(min_value=2, max_value=6, max_denominator=40).map(BetaParam),
+    st.builds(QComplex, _CROSS_FRACTIONS, _CROSS_FRACTIONS.filter(bool))
+    .filter(lambda z: Fraction(9, 4) <= z.abs2() <= 9).map(BetaParam),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(beta=CROSS_BETAS, n=st.integers(min_value=2, max_value=60))
+def test_sparse_route_matches_aberth(beta, n):
+    digits = 30
+    poly = charpoly_closed_form(beta, n)
+    sparse = _solve_sparse(poly, digits)
+    got = sparse if sparse is not None else solve_all(poly, digits)
+    _same_roots(got, _aberth(poly, digits), digits)
+
+
+@pytest.mark.parametrize("beta_text,n,digits", [
+    ("5", 100, 30), ("3", 51, 30), ("4/3", 101, 30), ("4/3", 70, 200),
+    ("3/2-5/4i", 50, 30), ("-3", 40, 30)])
+def test_sparse_route_certifies_the_figure_spectra(beta_text, n, digits):
+    poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
+    rs = _solve_sparse(poly, digits)
+    assert rs is not None and rs.degree == n
+    assert all(r <= t for r, t in zip(rs.residuals, rs.thresholds))
+
+
+def _drop_one(seeds):
+    return seeds[:-1]
+
+
+def _append_copy(seeds):
+    return seeds + [seeds[-1]]
+
+
+def _replace_by_copy(seeds):
+    # keeps the count: two seeds now polish to the same zero
+    j, k = [i for i, s in enumerate(seeds) if isinstance(s, complex)][:2]
+    return seeds[:k] + [seeds[j]] + seeds[k + 1:]
+
+
+@pytest.mark.parametrize("mutate,reason", [
+    (_drop_one, "seeds=51 zeros=52"), (_append_copy, "seeds=53 zeros=52"),
+    (_replace_by_copy, "overlapping disks")])
+def test_sparse_route_refuses_a_wrong_seed_set(monkeypatch, caplog, mutate, reason):
+    poly = charpoly_closed_form(BetaParam.parse("4/3"), 50)
+    ref = _aberth(poly, 30)
+    seeds = rootfind._phase_seeds
+    monkeypatch.setattr(rootfind, "_phase_seeds", lambda form: mutate(seeds(form)))
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        assert _solve_sparse(poly, 30) is None
+        rs = solve_all(poly, 30)
+    fallback = [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()]
+    assert len(fallback) == 2 and all(reason in m for m in fallback)
+    assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in ref.roots]
+
+
+@pytest.mark.parametrize("beta_text,n", [("39/20", 8), ("2", 20)])
+def test_fallback_gives_the_aberth_result(caplog, beta_text, n):
+    poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        rs = solve_all(poly, 30)
+    fallback = [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()]
+    assert len(fallback) == 1 and "reason=" in fallback[0]
+    ref = _aberth(poly, 30)
+    assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in ref.roots]
+    assert (rs.precision_used, rs.iterations) == (ref.precision_used, ref.iterations)
+
+
+def test_sparse_route_logs_one_debug_record_per_level(caplog):
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        rs = solve_all(charpoly_closed_form(BetaParam.parse("4/3"), 70), 200)
+    records = [r.getMessage() for r in caplog.records if r.message.startswith("solve_all")]
+    assert all(m.startswith("solve_all sparse degree=70 level: ") for m in records)
+    assert [int(m.split("bits=")[1].split()[0]) for m in records] == [256, 512, 1024, 2048]
+    assert rs.precision_used == 2048
+    # iterations: per level, the most Newton steps any root took
+    assert sum(int(m.split("newton_steps=")[1].split()[0]) for m in records) == rs.iterations
+    assert ["certified=True" in m for m in records] == [False, False, False, True]
+    assert "max_radius=-" in records[0] and "min_gap=-" in records[0]
+    radius = mp.mpf(records[-1].split("max_radius=")[1].split()[0])
+    gap = float(records[-1].split("min_gap=")[1].split()[0])
+    assert 0 < radius < mp.mpf(10) ** -400 and gap > 0.01
+    assert all("seconds=" in m for m in records)
+
+
+@pytest.mark.parametrize("beta_text", ["5", "3", "4/3"])
+@pytest.mark.parametrize("n", [50, 51])
+def test_real_beta_roots_are_real_or_exact_conjugates(beta_text, n):
+    beta = BetaParam.parse(beta_text)
+    poly = charpoly_closed_form(beta, n)
+    rs = solve_all(poly, 30)
+    tuples = {z._mpc_ for z in rs.roots}
+    real = [z for z in rs.roots if z.imag == 0]
+    assert real or n % 2 == 0  # an odd degree has a real zero
+    for z in real:
+        # p_n changes sign across the printed root: a real zero lies there
+        x = fraction_from_mpf(z.real)
+        u = Fraction(1, 10 ** 25) * (1 + abs(x))
+        assert poly.eval_exact(x - u) * poly.eval_exact(x + u) < 0
+    for z in rs.roots:
+        if z.imag != 0:
+            re, im = z._mpc_
+            assert (re, mpf_neg(im)) in tuples
