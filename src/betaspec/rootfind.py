@@ -3,27 +3,26 @@
 This is the eigenvalue engine: the spectra of the matrix family are computed
 as roots of the closed-form characteristic polynomials.  :func:`solve_all`
 has two routes, both over the doubling precision ladder
-256 -> 512 -> 1024 -> 2048 bits, and both accept a level only when it and
-the previous level agree on every root to the requested digit count and
-every residual passes its dense certificate threshold.
+256 -> 512 -> 1024 -> 2048 bits.
 
 * The sparse route, for the closed-form p_n with |beta| > 1 (``poly.beta``
   set).  The zeros of f = (1 - t)(1 - t/beta) p_n = a + t**n b are seeded
   from the phase equation t**n = -a(t)/b(t) near the unit circle and from
   the zeros of a and b off it, then polished by Newton on the five-term form
   at O(log n) operations per step (for real beta, on the closed upper
-  half-plane only).  A level is accepted only if, besides agreeing, the n + 2
-  inclusion disks |zeta - z| <= (n + 2) |f(z)/f'(z)|, bounded in
-  outward-rounded interval arithmetic, are pairwise disjoint, so each holds
-  exactly one zero of f, and two of them hold the spurious zeros 1 and
-  beta.  The other n are the eigenvalues; a real one is returned with
-  imaginary part exactly 0.  If the seeds are not n + 2 or no level
-  certifies, the route logs why and the Aberth ladder runs instead.
+  half-plane only).  The first level is accepted whose n + 2 inclusion
+  disks, bounded in outward-rounded interval arithmetic, are pairwise
+  disjoint, two of them holding the spurious zeros 1 and beta and the other
+  n, each of radius at most 10**-D (1 + |z|), the eigenvalues; a real one is
+  returned with imaginary part exactly 0.  If the seeds are not n + 2 or no
+  level certifies, the route logs why and the Aberth ladder runs instead.
 * The Ehrlich-Aberth ladder, for every other polynomial: simultaneous
   iteration (no deflation, so the unit-circle cluster stays coupled) from
   degree-many points on the Cauchy-bound circle ``1 + max|c_k| / |c_d|``
   with a fixed irrational angular offset; the first sweeps run in guarded
-  IEEE float64, after which the multiprecision ladder takes over.
+  IEEE float64, after which the multiprecision ladder takes over.  A level
+  is accepted when it and the previous one agree on every root to the digit
+  target and every dense residual passes its threshold.
 
 Identical inputs give identical digit strings: everything is sequential and
 deterministic.
@@ -45,7 +44,6 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import fone, mpc_add, mpc_mpf_div, mpc_sub
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     ConvergenceFailureError,
@@ -76,11 +74,13 @@ class RootSet:
     ``thresholds[k] = 10**-target_digits * (1 + |root_k|)**degree * C`` where
     C is the coefficient scale max(1, max|c_k|/|c_d|).
 
-    On the sparse route every root also lies in a disjoint inclusion disk
-    that holds exactly one eigenvalue (see :func:`solve_all`), and a root
-    with imaginary part exactly 0 is certified real.  ``iterations`` counts
-    Aberth sweeps on the ladder route; on the sparse route it is the sum over
-    levels of the most Newton steps any root took.
+    On the sparse route every root lies in a disjoint inclusion disk of
+    radius at most 10**-target_digits (1 + |root|) that holds exactly one
+    eigenvalue, a root with imaginary part exactly 0 is certified real, the
+    residuals are outward-rounded upper bounds and ``precision_used`` is the
+    first certifying level.  ``iterations`` counts Aberth sweeps on the
+    ladder route; on the sparse route it is the sum over levels of the most
+    Newton steps any root took.
     """
 
     roots: tuple
@@ -234,21 +234,19 @@ def _aberth_level(hi, dhi, z, prec, max_sweeps=MAX_SWEEPS_PER_LEVEL):
     return [mp.make_mpc(t) for t in zt], sweeps, all(converged)
 
 
-def _certificates(poly, roots, prec, target_digits):
-    """Residuals |p(z)|/|c_d| and their certificate thresholds at prec."""
+def _certificates(poly, roots, prec, target_digits, residuals=None):
+    """Residuals |p(z)|/|c_d| at prec, by dense Horner unless given, and their
+    certificate thresholds 10**-target_digits (1 + |z|)**d C, with C the
+    coefficient scale max(1, max|c_k|/|c_d|)."""
     with with_precision(prec):
         cs = [mpc_from(c) for c in poly.coeffs]
-        hi = cs[::-1]
         lead = abs(cs[-1])
+        if residuals is None:
+            hi = cs[::-1]
+            residuals = [abs(polyval(hi, z)) / lead for z in roots]
         cscale = max(mp.mpf(1), max(abs(c) for c in cs[:-1]) / lead)
         tol = mp.mpf(10) ** (-target_digits)
-        d = poly.degree
-        residuals = []
-        thresholds = []
-        for z in roots:
-            residuals.append(abs(polyval(hi, z)) / lead)
-            thresholds.append(tol * (1 + abs(z)) ** d * cscale)
-        return residuals, thresholds
+        return residuals, [tol * (1 + abs(z)) ** poly.degree * cscale for z in roots]
 
 
 def _agree(z, prev, target_digits) -> bool:
@@ -374,10 +372,11 @@ def _inclusion_disks(form: SparseForm, roots: list, bits: int):
     outward-rounded interval arithmetic from the exact coefficients.  Since
     f'/f = sum_k 1/(z - zeta_k), every such disk holds a zero of f, and
     pairwise disjoint disks hold exactly one each.  Returns
-    ``(zeros, eigen, max_radius, min_gap)``: all n + 2 centres, the indices
+    ``(zeros, eigen, rho, bounds, min_gap)``: all n + 2 centres, the indices
     of the n that remain once the disks holding the exact zeros 1 and beta
     are dropped (None if the disks overlap or those two are not located),
-    the largest radius and the least distance between two disks.
+    each radius, each upper bound on |p_n| = |f| / |(1 - z)(1 - z/beta)|
+    (inf if the divisor may vanish), and the least distance between disks.
 
     A real centre's disk is symmetric under conjugation, so the one zero it
     holds is real: real seeds stay real under Newton, which is why a real
@@ -391,12 +390,17 @@ def _inclusion_disks(form: SparseForm, roots: list, bits: int):
     saved, iv.prec = iv.prec, bits
     try:
         civ = [_iv_point(iv, c) for c in form.coeffs]
-        rho = []
+        xiv = _iv_point(iv, form.x)
+        rho, bounds = [], []
         for z in roots:
-            f, df = eval_sparse(civ, n, _iv_point(iv, z))
+            ziv = _iv_point(iv, z)
+            f, df = eval_sparse(civ, n, ziv)
             rho.append(_upper((n + 2) * abs(f) / abs(df)) if abs(df).a > 0 else mp.inf)
-        if form.is_real:  # |f| and |f'| are the same at a conjugate
+            div = abs((1 - ziv) * (1 - xiv * ziv))
+            bounds.append(_upper(abs(f) / div) if div.a > 0 else mp.inf)
+        if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
             rho += [x for x, z in zip(rho, roots) if isinstance(z, mp.mpc)]
+            bounds += [x for x, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
         # Disjointness in float64: the centres round to within 2**-52 |z|
         # and a computed distance is off by a few ulps, which the margin
         # 2**-48 (1 + |z_j| + |z_k|) covers; the radii are rounded up.
@@ -409,19 +413,18 @@ def _inclusion_disks(form: SparseForm, roots: list, bits: int):
         np.fill_diagonal(slack, np.inf)
         np.fill_diagonal(margin, 0.0)
         min_gap = float(slack.min())
-        max_radius = max(rho)
         if not np.all(slack > margin):
-            return zeros, None, max_radius, min_gap
+            return zeros, None, rho, bounds, min_gap
         spurious = []
         for point in (Fraction(1), form.beta.value):
             j = int(np.argmin(np.abs(c - _as_complex(point))))
             if _upper(abs(_iv_point(iv, zeros[j]) - _iv_point(iv, point))) > rho[j]:
-                return zeros, None, max_radius, min_gap
+                return zeros, None, rho, bounds, min_gap
             spurious.append(j)
     finally:
         iv.prec = saved
     eigen = [j for j in range(len(zeros)) if j not in spurious]
-    return zeros, eigen, max_radius, min_gap
+    return zeros, eigen, rho, bounds, min_gap
 
 
 def _refuse(d: int, reason: str) -> None:
@@ -434,68 +437,64 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
 
     Newton on f = (1 - t)(1 - t/beta) p_n = a + t**n b polishes the seeds of
     :func:`_phase_seeds` at each level of ``PRECISION_LADDER``, O(log n)
-    operations per step.  A level is accepted when every root agrees with
-    the previous level to 10**-D (1 + |z|), the n + 2 inclusion disks of
-    :func:`_inclusion_disks` are pairwise disjoint with 1 and beta in two of
-    them, and every eigenvalue's dense residual passes
-    :func:`_certificates`.  Returns None, with one DEBUG record saying why,
-    when the seeds are not n + 2, when Newton does not settle, when agreed
-    roots give overlapping disks, or when no level certifies.
+    operations per step.  The first level is accepted at which Newton has
+    settled, the disks of :func:`_inclusion_disks` are disjoint with 1 and
+    beta in two of them, and every eigenvalue's radius is at most
+    10**-D (1 + |z|); the disks' bounds on |p_n| are its residuals, held to
+    the thresholds of :func:`_certificates`.  Returns None, with one DEBUG
+    record saying why, when the seeds are not n + 2, when Newton does not
+    settle, when the disks overlap, or when no level certifies.
     """
     d = poly.degree
     form = sparse_form(poly.beta, d)
-    seeds = _phase_seeds(form)
-    count = sum(1 if isinstance(s, float) else 2 for s in seeds) \
-        if form.is_real else len(seeds)
+    z = _phase_seeds(form)
+    count = sum(1 if isinstance(s, float) else 2 for s in z) if form.is_real else len(z)
     if count != d + 2:
         return _refuse(d, f"seeds={count} zeros={d + 2}")
-    prev = None
     iterations = 0
     for prec in PRECISION_LADDER:
         started = time.perf_counter()
         with with_precision(prec + 32):
             cs = form.coeffs_mp()
             tol = mp.mpf(2) ** (-(prec - 32))
-            start = prev or [mp.mpf(s) if isinstance(s, float) else mp.mpc(s) for s in seeds]
-            polished = [_newton(cs, d, t, tol) for t in start]
-            z = [p[0] for p in polished]
-            steps = max(p[1] for p in polished)
-            settled = all(p[2] for p in polished)
-            eigen = max_radius = min_gap = None
-            certs = None
-            if settled and prev is not None and _agree(z, prev, target_digits):
-                zeros, eigen, max_radius, min_gap = _inclusion_disks(form, z, prec + 32)
-                if eigen is not None:
+            z, steps, settled = zip(*(_newton(cs, d, mp.mpmathify(t), tol) for t in z))
+            steps, settled = max(steps), all(settled)
+            eigen = rho = min_gap = certs = None
+            if settled:
+                zeros, eigen, rho, bounds, min_gap = _inclusion_disks(form, z, prec + 32)
+                digit_tol = mp.mpf(10) ** (-target_digits)
+                if eigen is not None and all(
+                        rho[j] <= digit_tol * (1 + abs(zeros[j])) for j in eigen):
                     roots = [mp.mpc(zeros[j]) for j in eigen]
-                    certs = _certificates(poly, roots, prec, target_digits)
+                    certs = _certificates(poly, roots, prec, target_digits,
+                                          [bounds[j] for j in eigen])
                     if not all(r <= t for r, t in zip(*certs)):
                         certs = None
         iterations += steps
         log.debug("solve_all sparse degree=%d level: bits=%d newton_steps=%d "
                   "certified=%s max_radius=%s min_gap=%s seconds=%.6f",
                   d, prec, steps, certs is not None,
-                  "-" if max_radius is None else mp.nstr(max_radius, 3),
+                  "-" if rho is None else mp.nstr(max(rho), 3),
                   "-" if min_gap is None else f"{min_gap:.3g}",
                   time.perf_counter() - started)
         if not settled:
             return _refuse(d, f"newton did not settle at {prec} bits")
         if certs is not None:
             return _root_set(poly, roots, certs, prec, iterations, target_digits)
-        if max_radius is not None and eigen is None:
-            return _refuse(d, f"agreed roots have overlapping disks at {prec} bits")
-        prev = z
+        if eigen is None:
+            return _refuse(d, f"overlapping disks at {prec} bits")
     return _refuse(d, "no level certified")
 
 
 def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     """Find all roots of ``poly`` certified to ``target_digits`` digits.
 
-    Precision escalates through the ladder until two successive levels agree
-    on every root to the digit target and the residual certificates hold;
-    otherwise raises :class:`ConvergenceFailureError` carrying the best
-    iterate.  Closed-form p_n with |beta| > 1 first take the sparse route
-    (:func:`_solve_sparse`), which adds disjoint inclusion disks to the
-    acceptance test; when it declines, the Aberth ladder runs.
+    Closed-form p_n with |beta| > 1 first take the sparse route
+    (:func:`_solve_sparse`), certified by disjoint inclusion disks alone.
+    When it declines, the Aberth ladder escalates precision until two
+    successive levels agree on every root to the digit target and the dense
+    residual certificates hold; otherwise it raises
+    :class:`ConvergenceFailureError` carrying the best iterate.
     """
     if target_digits < 1:
         raise InvalidParameterError("target_digits must be >= 1")
@@ -675,5 +674,6 @@ def optimal_match_distance(a: Sequence, b: Sequence) -> float:
     av = np.array([complex(x) for x in a])
     bv = np.array([complex(x) for x in b])
     cost = np.abs(av[:, None] - bv[None, :])
+    from scipy.optimize import linear_sum_assignment  # kept off the CLI's import path
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

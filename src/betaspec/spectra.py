@@ -138,13 +138,12 @@ class OutlierRecord:
 
 
 def find_outliers(beta: BetaParam, n: int, target_digits: int,
-                  annulus_eps: float = OUTLIER_ANNULUS_EPS,
-                  verify: bool | None = None) -> OutlierRecord:
+                  annulus_eps: float = OUTLIER_ANNULUS_EPS) -> OutlierRecord:
     """Locate and refine the two outliers for beta in (1, 2).
 
     Newton refinement is seeded at the limits beta - 1 and 1/(beta - 1).
-    With ``verify`` true (default for n <= 150) a full moderate-precision
-    solve confirms the annulus-outlier count; more than two outliers raises
+    For n <= ``OUTLIER_VERIFY_MAX_ORDER`` a full moderate-precision solve
+    confirms the annulus-outlier count; more than two outliers raises
     :class:`InconsistencyError`, since the theory allows at most two and a
     third signals solver failure.
     """
@@ -155,15 +154,13 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
             f"outlier tracking requires beta in (1, 2), got {b}")
     if n < 2:
         raise InvalidOrderError("outlier tracking requires n >= 2")
-    if verify is None:
-        verify = n <= OUTLIER_VERIFY_MAX_ORDER
 
     form = sparse_form(beta, n)
     small_limit = b - 1
     large_limit = 1 / small_limit
 
     count_verified = False
-    if verify:
+    if n <= OUTLIER_VERIFY_MAX_ORDER:
         rs = eigenvalues(beta, n, DEFAULT_EIG_DIGITS)
         with with_precision(rs.precision_used):
             eps = mpf_from(annulus_eps)

@@ -2,11 +2,16 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import betaspec
 from betaspec import BetaParam, charpoly_closed_form
 from betaspec.cli import build_parser, run
 from betaspec.spectra import eigenvalues
@@ -48,6 +53,15 @@ def test_help_lists_every_command():
     for cmd in ("matrix", "charpoly", "eigs", "cluster", "outliers",
                 "singvals", "weyl", "beta1", "reproduce"):
         assert cmd in text
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only optimal_match_distance, which no command calls; its
+    # import would be most of the CLI's start-up time
+    src = str(Path(betaspec.__file__).resolve().parents[1])
+    code = "import sys, betaspec.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_matrix_exact_csv(capsys):

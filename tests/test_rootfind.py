@@ -383,16 +383,56 @@ def test_sparse_route_logs_one_debug_record_per_level(caplog):
         rs = solve_all(charpoly_closed_form(BetaParam.parse("4/3"), 70), 200)
     records = [r.getMessage() for r in caplog.records if r.message.startswith("solve_all")]
     assert all(m.startswith("solve_all sparse degree=70 level: ") for m in records)
-    assert [int(m.split("bits=")[1].split()[0]) for m in records] == [256, 512, 1024, 2048]
-    assert rs.precision_used == 2048
+    # 1024 bits is the first level whose disks are within 10**-200 (1 + |z|)
+    assert [int(m.split("bits=")[1].split()[0]) for m in records] == [256, 512, 1024]
+    assert rs.precision_used == 1024
     # iterations: per level, the most Newton steps any root took
     assert sum(int(m.split("newton_steps=")[1].split()[0]) for m in records) == rs.iterations
-    assert ["certified=True" in m for m in records] == [False, False, False, True]
-    assert "max_radius=-" in records[0] and "min_gap=-" in records[0]
-    radius = mp.mpf(records[-1].split("max_radius=")[1].split()[0])
+    assert ["certified=True" in m for m in records] == [False, False, True]
+    radii = [mp.mpf(m.split("max_radius=")[1].split()[0]) for m in records]
     gap = float(records[-1].split("min_gap=")[1].split()[0])
-    assert 0 < radius < mp.mpf(10) ** -400 and gap > 0.01
+    assert radii[0] > radii[1] > radii[2] > 0
+    assert radii[2] < mp.mpf(10) ** -300 and gap > 0.01
     assert all("seconds=" in m for m in records)
+
+
+@pytest.mark.parametrize("beta_text,n", [("4/3", 20), ("3/2-5/4i", 15), ("5", 12)])
+def test_sparse_residuals_bound_the_exact_value(beta_text, n):
+    # the residual bounds |p_n| at the returned root itself, which is an
+    # exact dyadic rational; a rounded point evaluation can fall below it
+    poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
+    rs = _solve_sparse(poly, 30)
+    assert rs is not None and rs.degree == n
+    for z, r in zip(rs.roots, rs.residuals):
+        exact = poly.eval_exact(QComplex(fraction_from_mpf(z.real), fraction_from_mpf(z.imag)))
+        assert fraction_from_mpf(r) ** 2 >= exact.abs2() > 0
+
+
+def test_sparse_route_refuses_a_perturbed_root(monkeypatch, caplog):
+    # moved by 10**-25 (1 + |z|), every disk still holds its zero but is
+    # far wider than 10**-30 (1 + |z|): no level certifies 30 digits
+    poly = charpoly_closed_form(BetaParam.parse("4/3"), 20)
+    ref = _aberth(poly, 30)
+    newton = rootfind._newton
+
+    def perturbed(cs, n, t, tol):
+        z, steps, settled = newton(cs, n, t, tol)
+        if isinstance(z, mp.mpc):
+            z += mp.mpf(10) ** -25 * (1 + abs(z))
+        return z, steps, settled
+
+    monkeypatch.setattr(rootfind, "_newton", perturbed)
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        assert _solve_sparse(poly, 30) is None
+        rs = solve_all(poly, 30)
+    messages = [r.getMessage() for r in caplog.records]
+    fallback = [m for m in messages if "fallback" in m]
+    assert len(fallback) == 2 and all("no level certified" in m for m in fallback)
+    radii = [mp.mpf(m.split("max_radius=")[1].split()[0])
+             for m in messages if m.startswith("solve_all sparse degree=")]
+    assert len(radii) == 2 * len(rootfind.PRECISION_LADDER)
+    assert all(mp.mpf(10) ** -25 < r < mp.mpf(10) ** -22 for r in radii)
+    assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in ref.roots]
 
 
 @pytest.mark.parametrize("beta_text", ["5", "3", "4/3"])

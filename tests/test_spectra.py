@@ -87,9 +87,10 @@ def test_find_outliers_below_clustering_onset():
     beta = BetaParam.parse("39/20")
     with pytest.raises(InconsistencyError):
         find_outliers(beta, 8, 20)
-    # ...and the unverified path reports absence with a diagnostic
-    rec = find_outliers(beta, 8, 20, verify=False)
-    assert rec.small is None and rec.large is None
+    # ...and at 151, the first order above the verify cap of 150, the small
+    # outlier is still in the annulus: it is reported absent with a diagnostic
+    rec = find_outliers(beta, 151, 20)
+    assert rec.small is None and mp.nstr(rec.large, 15) == "1.05258175435567"
     assert rec.diagnostic is not None and "not separated" in rec.diagnostic
     assert not rec.count_verified
 
@@ -102,7 +103,7 @@ def test_find_outliers_ladder_exhaustion_raises(monkeypatch):
 
     monkeypatch.setattr("betaspec.rootfind.REFINE_LADDER", (256, 512))
     with pytest.raises(ConvergenceFailureError) as exc:
-        find_outliers(BetaParam.parse("9/8"), 200, 200, verify=False)
+        find_outliers(BetaParam.parse("9/8"), 200, 200)
     assert exc.value.best is not None
 
 
@@ -113,7 +114,7 @@ def test_outlier_errors_match_dense_newton(dense_newton_root, beta_text, n):
     # either error (err_small is about 1e-763 at 4/3, n = 1600)
     beta = BetaParam.parse(beta_text)
     digits = 100
-    rec = find_outliers(beta, n, digits, verify=False)
+    rec = find_outliers(beta, n, digits)
     poly = charpoly_closed_form(beta, n)
     b = beta.real_value
     for got, got_err, limit in ((rec.small, rec.err_small, b - 1),
