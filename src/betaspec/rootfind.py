@@ -2,27 +2,27 @@
 
 This is the eigenvalue engine: the spectra of the matrix family are computed
 as roots of the closed-form characteristic polynomials.  :func:`solve_all`
-has two routes, both over the doubling precision ladder
-256 -> 512 -> 1024 -> 2048 bits.
+has two routes over the doubling precision ladder 256 -> 512 -> 1024 ->
+2048 bits and one acceptance rule: the first level whose inclusion disks,
+bounded in outward-rounded interval arithmetic, are pairwise disjoint (so
+each holds exactly one zero) and of radius at most 10**-D (1 + |z|).
 
 * The sparse route, for the closed-form p_n with |beta| > 1 (``poly.beta``
   set).  The zeros of f = (1 - t)(1 - t/beta) p_n = a + t**n b are seeded
   from the phase equation t**n = -a(t)/b(t) near the unit circle and from
   the zeros of a and b off it, then polished by Newton on the five-term form
   at O(log n) operations per step (for real beta, on the closed upper
-  half-plane only).  The first level is accepted whose n + 2 inclusion
-  disks, bounded in outward-rounded interval arithmetic, are pairwise
-  disjoint, two of them holding the spurious zeros 1 and beta and the other
-  n, each of radius at most 10**-D (1 + |z|), the eigenvalues; a real one is
-  returned with imaginary part exactly 0.  If the seeds are not n + 2 or no
-  level certifies, the route logs why and the Aberth ladder runs instead.
+  half-plane only).  Its n + 2 disks must also locate the spurious zeros 1
+  and beta; a real eigenvalue is returned with imaginary part exactly 0.
+  If the seeds are not n + 2 or no level certifies, the route logs why and
+  the Aberth ladder runs instead.
 * The Ehrlich-Aberth ladder, for every other polynomial: simultaneous
   iteration (no deflation, so the unit-circle cluster stays coupled) from
   degree-many points on the Cauchy-bound circle ``1 + max|c_k| / |c_d|``
   with a fixed irrational angular offset; the first sweeps run in guarded
-  IEEE float64, after which the multiprecision ladder takes over.  A level
-  is accepted when it and the previous one agree on every root to the digit
-  target and every dense residual passes its threshold.
+  IEEE float64, after which the multiprecision ladder takes over.  Its d
+  disks come from one interval Horner pass for p and p' on the exact
+  coefficients.
 
 Identical inputs give identical digit strings: everything is sequential and
 deterministic.
@@ -52,7 +52,8 @@ from .errors import (
 )
 from .charpoly import PrecPoly, SparseForm, eval_sparse, sparse_form
 from .matrices import BetaParam
-from .numerics import QComplex, decimal_str, mpc_from, mpf_from, polyval, with_precision
+from .numerics import QComplex, decimal_str, mpf_from, polyval, with_precision
+from .numerics import mpc_from  # noqa: F401  bench/spans.py counts conversions through it
 
 log = logging.getLogger("betaspec")
 
@@ -65,27 +66,25 @@ FLOAT_WARMUP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RootSet:
-    """All roots of one polynomial with residual certificates.
+    """All roots of one polynomial, each in its own inclusion disk.
 
     ``roots`` are mpc values sorted by principal argument (ties by modulus),
     with an imaginary snap of 10**(-target_digits/2) deciding when a root
-    counts as real for the ordering.  ``residuals[k]`` is
-    |p(root_k)| / |leading coefficient|; it is certified to stay below
-    ``thresholds[k] = 10**-target_digits * (1 + |root_k|)**degree * C`` where
-    C is the coefficient scale max(1, max|c_k|/|c_d|).
+    counts as real for the ordering.  The disks |zeta - roots[k]| <=
+    ``radii[k]`` are pairwise disjoint, each holds exactly one zero of the
+    polynomial, and each radius is at most 10**-target_digits (1 + |root|).
+    ``residuals[k]`` is an outward-rounded upper bound on
+    |p(roots[k])| / |leading coefficient|, from the same interval evaluation.
+    ``precision_used`` is the first level that certified.
 
-    On the sparse route every root lies in a disjoint inclusion disk of
-    radius at most 10**-target_digits (1 + |root|) that holds exactly one
-    eigenvalue, a root with imaginary part exactly 0 is certified real, the
-    residuals are outward-rounded upper bounds and ``precision_used`` is the
-    first certifying level.  ``iterations`` counts Aberth sweeps on the
-    ladder route; on the sparse route it is the sum over levels of the most
-    Newton steps any root took.
+    On the sparse route a root with imaginary part exactly 0 is certified
+    real, and ``iterations`` sums over levels the most Newton steps any root
+    took; on the Aberth ladder it counts sweeps.
     """
 
     roots: tuple
     residuals: tuple
-    thresholds: tuple
+    radii: tuple
     precision_used: int
     iterations: int
     target_digits: int
@@ -234,37 +233,93 @@ def _aberth_level(hi, dhi, z, prec, max_sweeps=MAX_SWEEPS_PER_LEVEL):
     return [mp.make_mpc(t) for t in zt], sweeps, all(converged)
 
 
-def _certificates(poly, roots, prec, target_digits, residuals=None):
-    """Residuals |p(z)|/|c_d| at prec, by dense Horner unless given, and their
-    certificate thresholds 10**-target_digits (1 + |z|)**d C, with C the
-    coefficient scale max(1, max|c_k|/|c_d|)."""
-    with with_precision(prec):
-        cs = [mpc_from(c) for c in poly.coeffs]
-        lead = abs(cs[-1])
-        if residuals is None:
-            hi = cs[::-1]
-            residuals = [abs(polyval(hi, z)) / lead for z in roots]
-        cscale = max(mp.mpf(1), max(abs(c) for c in cs[:-1]) / lead)
-        tol = mp.mpf(10) ** (-target_digits)
-        return residuals, [tol * (1 + abs(z)) ** poly.degree * cscale for z in roots]
+def _iv_point(iv, z):
+    """``z`` (exact rational, QComplex, mpf or mpc) as an ``mp.iv`` interval,
+    rounded outward at ``iv.prec``."""
+    if isinstance(z, (Fraction, QComplex)):
+        re, im = (z.re, z.im) if isinstance(z, QComplex) else (z, None)
+        re = iv.mpf(re.numerator) / re.denominator
+        return re if im is None else iv.mpc(re, iv.mpf(im.numerator) / im.denominator)
+    if isinstance(z, mp.mpc):
+        return iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
+    return iv.mpf(z)
 
 
-def _agree(z, prev, target_digits) -> bool:
-    """True iff every root moved by at most 10**-target_digits (1 + |z|)
-    from the previous level."""
-    agree_tol = mp.mpf(10) ** (-target_digits)
-    return all(abs(a - b) <= agree_tol * (1 + abs(a)) for a, b in zip(z, prev))
+def _upper(x) -> mp.mpf:
+    """The upper end of an ``mp.iv`` interval, as an mpf."""
+    return mp.make_mpf(x._mpi_[1])
 
 
-def _root_set(poly, roots, certs, prec, iterations, target_digits) -> RootSet:
-    """The certified roots, sorted by argument, as a :class:`RootSet`."""
-    residuals, thresholds = certs
+def _iv_disks(roots, count: int, evaluate):
+    """Inclusion disks at ``roots``, one ``mp.iv`` evaluation each at ``iv.prec``.
+
+    ``evaluate(z)`` gives the intervals (f, f', divisor) at the interval point
+    z, for a polynomial f with ``count`` zeros.  As f'/f = sum_k 1/(z - zeta_k),
+    the disk |zeta - z| <= count |f/f'| holds a zero of f (Carstensen, Numer.
+    Math. 59, 1991).  Returns each radius count sup|f| / inf|f'| and each
+    residual bound sup|f| / inf|divisor|, inf where the denominator may vanish.
+    """
+    rho, bounds = [], []
+    for z in roots:
+        f, df, div = (abs(v) for v in evaluate(_iv_point(mp.iv, z)))
+        rho.append(_upper(count * f / df) if df.a > 0 else mp.inf)
+        bounds.append(_upper(f / div) if div.a > 0 else mp.inf)
+    return rho, bounds
+
+
+def _disjoint(zeros, rho) -> tuple[bool, float]:
+    """Whether the disks |zeta - zeros[j]| <= rho[j] are pairwise disjoint,
+    and the least gap |z_j - z_k| - rho_j - rho_k between two of them.
+
+    Decided in float64: the centres round to within 2**-52 |z| and a
+    computed distance is off by a few ulps, which the margin
+    2**-48 (1 + |z_j| + |z_k|) covers; the radii are rounded up.
+    """
+    c = np.array([complex(z) for z in zeros])
+    r = np.array([float(x) * (1 + 2.0 ** -50) + 1e-300 for x in rho])
+    with np.errstate(all="ignore"):
+        dist = np.abs(c[:, None] - c[None, :])
+        slack = dist - r[:, None] - r[None, :]
+        margin = 2.0 ** -48 * (1 + np.abs(c)[:, None] + np.abs(c)[None, :])
+    np.fill_diagonal(slack, np.inf)
+    np.fill_diagonal(margin, 0.0)
+    return bool(np.all(slack > margin)), float(slack.min())
+
+
+def _within(zeros, rho, target_digits: int) -> bool:
+    """True iff every radius is at most 10**-target_digits (1 + |z|)."""
+    tol = mp.mpf(10) ** (-target_digits)
+    return all(r <= tol * (1 + abs(z)) for z, r in zip(zeros, rho))
+
+
+def _dense_disks(poly: PrecPoly, roots: list, bits: int):
+    """The d inclusion disks of :func:`_iv_disks` at the Aberth iterates, from
+    one interval Horner pass for p and p' on the exact coefficients at
+    ``bits``; the residual bounds are on |p| / |c_d|."""
+    iv = mp.iv
+    saved, iv.prec = iv.prec, bits
+    try:
+        civ = [_iv_point(iv, c) for c in poly.coeffs]
+
+        def horner(z):
+            p, dp = civ[-1], 0
+            for c in reversed(civ[:-1]):
+                p, dp = p * z + c, dp * z + p
+            return p, dp, civ[-1]
+        return _iv_disks(roots, poly.degree, horner)
+    finally:
+        iv.prec = saved
+
+
+def _root_set(poly, roots, residuals, radii, prec, iterations, target_digits) -> RootSet:
+    """The certified roots as mpc, sorted by argument, as a :class:`RootSet`."""
     with with_precision(prec + 32):
+        roots = [mp.mpc(z) for z in roots]
         im_snap = mp.mpf(10) ** (-(target_digits / 2))
         order = sorted(range(len(roots)), key=lambda j: _sort_key(roots[j], im_snap))
     return RootSet(roots=tuple(roots[j] for j in order),
                    residuals=tuple(residuals[j] for j in order),
-                   thresholds=tuple(thresholds[j] for j in order),
+                   radii=tuple(radii[j] for j in order),
                    precision_used=prec, iterations=iterations,
                    target_digits=target_digits, beta=poly.beta, n=poly.degree)
 
@@ -346,37 +401,17 @@ def _newton(cs, n: int, t, tol):
     return t, MAX_NEWTON_STEPS_PER_LEVEL, False
 
 
-def _iv_point(iv, z):
-    """``z`` (exact rational, QComplex, mpf or mpc) as an ``mp.iv`` interval,
-    rounded outward at ``iv.prec``."""
-    if isinstance(z, (Fraction, QComplex)):
-        re, im = (z.re, z.im) if isinstance(z, QComplex) else (z, None)
-        re = iv.mpf(re.numerator) / re.denominator
-        return re if im is None else iv.mpc(re, iv.mpf(im.numerator) / im.denominator)
-    if isinstance(z, mp.mpc):
-        return iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
-    return iv.mpf(z)
-
-
-def _upper(x) -> mp.mpf:
-    """The upper end of an ``mp.iv`` interval, as an mpf."""
-    return mp.make_mpf(x._mpi_[1])
-
-
 def _inclusion_disks(form: SparseForm, roots: list, bits: int):
     """Certify the iterates of the sparse route as the n + 2 zeros of f.
 
     ``roots`` are the iterates of :func:`_phase_seeds`' seeds; for real beta
-    the complex ones stand for their conjugates too.  Each zero z gets the
-    disk |zeta - z| <= rho = (n + 2) sup|f(z)| / inf|f'(z)|, bounded above in
-    outward-rounded interval arithmetic from the exact coefficients.  Since
-    f'/f = sum_k 1/(z - zeta_k), every such disk holds a zero of f, and
-    pairwise disjoint disks hold exactly one each.  Returns
+    the complex ones stand for their conjugates too.  Each gets the disk of
+    :func:`_iv_disks` for f = a + t**n b from the exact coefficients.  Returns
     ``(zeros, eigen, rho, bounds, min_gap)``: all n + 2 centres, the indices
     of the n that remain once the disks holding the exact zeros 1 and beta
     are dropped (None if the disks overlap or those two are not located),
     each radius, each upper bound on |p_n| = |f| / |(1 - z)(1 - z/beta)|
-    (inf if the divisor may vanish), and the least distance between disks.
+    (inf if the divisor may vanish), and the least gap between disks.
 
     A real centre's disk is symmetric under conjugation, so the one zero it
     holds is real: real seeds stay real under Newton, which is why a real
@@ -391,33 +426,17 @@ def _inclusion_disks(form: SparseForm, roots: list, bits: int):
     try:
         civ = [_iv_point(iv, c) for c in form.coeffs]
         xiv = _iv_point(iv, form.x)
-        rho, bounds = [], []
-        for z in roots:
-            ziv = _iv_point(iv, z)
-            f, df = eval_sparse(civ, n, ziv)
-            rho.append(_upper((n + 2) * abs(f) / abs(df)) if abs(df).a > 0 else mp.inf)
-            div = abs((1 - ziv) * (1 - xiv * ziv))
-            bounds.append(_upper(abs(f) / div) if div.a > 0 else mp.inf)
+        rho, bounds = _iv_disks(roots, n + 2, lambda z: (
+            *eval_sparse(civ, n, z), (1 - z) * (1 - xiv * z)))
         if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
             rho += [x for x, z in zip(rho, roots) if isinstance(z, mp.mpc)]
             bounds += [x for x, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
-        # Disjointness in float64: the centres round to within 2**-52 |z|
-        # and a computed distance is off by a few ulps, which the margin
-        # 2**-48 (1 + |z_j| + |z_k|) covers; the radii are rounded up.
-        c = np.array([complex(z) for z in zeros])
-        r = np.array([float(x) * (1 + 2.0 ** -50) + 1e-300 for x in rho])
-        with np.errstate(all="ignore"):
-            dist = np.abs(c[:, None] - c[None, :])
-            slack = dist - r[:, None] - r[None, :]
-            margin = 2.0 ** -48 * (1 + np.abs(c)[:, None] + np.abs(c)[None, :])
-        np.fill_diagonal(slack, np.inf)
-        np.fill_diagonal(margin, 0.0)
-        min_gap = float(slack.min())
-        if not np.all(slack > margin):
+        disjoint, min_gap = _disjoint(zeros, rho)
+        if not disjoint:
             return zeros, None, rho, bounds, min_gap
         spurious = []
         for point in (Fraction(1), form.beta.value):
-            j = int(np.argmin(np.abs(c - _as_complex(point))))
+            j = int(np.argmin([abs(complex(z) - _as_complex(point)) for z in zeros]))
             if _upper(abs(_iv_point(iv, zeros[j]) - _iv_point(iv, point))) > rho[j]:
                 return zeros, None, rho, bounds, min_gap
             spurious.append(j)
@@ -432,6 +451,12 @@ def _refuse(d: int, reason: str) -> None:
     return None
 
 
+def _disk_fields(rho, min_gap) -> str:
+    """The largest radius and the least gap (``-`` if no disks were computed)."""
+    return (f"max_radius={'-' if rho is None else mp.nstr(max(rho), 3)} "
+            f"min_gap={'-' if min_gap is None else f'{min_gap:.3g}'}")
+
+
 def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     """The sparse route of :func:`solve_all` for closed-form p_n, |beta| > 1.
 
@@ -440,10 +465,10 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     operations per step.  The first level is accepted at which Newton has
     settled, the disks of :func:`_inclusion_disks` are disjoint with 1 and
     beta in two of them, and every eigenvalue's radius is at most
-    10**-D (1 + |z|); the disks' bounds on |p_n| are its residuals, held to
-    the thresholds of :func:`_certificates`.  Returns None, with one DEBUG
-    record saying why, when the seeds are not n + 2, when Newton does not
-    settle, when the disks overlap, or when no level certifies.
+    10**-D (1 + |z|); the disks' bounds on |p_n| are its residuals.  Returns
+    None, with one DEBUG record saying why, when the seeds are not n + 2,
+    when Newton does not settle, when the disks overlap, or when no level
+    certifies.
     """
     d = poly.degree
     form = sparse_form(poly.beta, d)
@@ -459,28 +484,21 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
             tol = mp.mpf(2) ** (-(prec - 32))
             z, steps, settled = zip(*(_newton(cs, d, mp.mpmathify(t), tol) for t in z))
             steps, settled = max(steps), all(settled)
-            eigen = rho = min_gap = certs = None
+            eigen = rho = min_gap = None
             if settled:
                 zeros, eigen, rho, bounds, min_gap = _inclusion_disks(form, z, prec + 32)
-                digit_tol = mp.mpf(10) ** (-target_digits)
-                if eigen is not None and all(
-                        rho[j] <= digit_tol * (1 + abs(zeros[j])) for j in eigen):
-                    roots = [mp.mpc(zeros[j]) for j in eigen]
-                    certs = _certificates(poly, roots, prec, target_digits,
-                                          [bounds[j] for j in eigen])
-                    if not all(r <= t for r, t in zip(*certs)):
-                        certs = None
+            certified = eigen is not None and _within(
+                [zeros[j] for j in eigen], [rho[j] for j in eigen], target_digits)
         iterations += steps
         log.debug("solve_all sparse degree=%d level: bits=%d newton_steps=%d "
-                  "certified=%s max_radius=%s min_gap=%s seconds=%.6f",
-                  d, prec, steps, certs is not None,
-                  "-" if rho is None else mp.nstr(max(rho), 3),
-                  "-" if min_gap is None else f"{min_gap:.3g}",
-                  time.perf_counter() - started)
+                  "certified=%s %s seconds=%.6f", d, prec, steps, certified,
+                  _disk_fields(rho, min_gap), time.perf_counter() - started)
         if not settled:
             return _refuse(d, f"newton did not settle at {prec} bits")
-        if certs is not None:
-            return _root_set(poly, roots, certs, prec, iterations, target_digits)
+        if certified:
+            return _root_set(poly, [zeros[j] for j in eigen],
+                             [bounds[j] for j in eigen], [rho[j] for j in eigen],
+                             prec, iterations, target_digits)
         if eigen is None:
             return _refuse(d, f"overlapping disks at {prec} bits")
     return _refuse(d, "no level certified")
@@ -490,67 +508,49 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     """Find all roots of ``poly`` certified to ``target_digits`` digits.
 
     Closed-form p_n with |beta| > 1 first take the sparse route
-    (:func:`_solve_sparse`), certified by disjoint inclusion disks alone.
-    When it declines, the Aberth ladder escalates precision until two
-    successive levels agree on every root to the digit target and the dense
-    residual certificates hold; otherwise it raises
-    :class:`ConvergenceFailureError` carrying the best iterate.
+    (:func:`_solve_sparse`).  When it declines, and for every other
+    polynomial, the Aberth ladder runs, each level seeded by the last, and
+    accepts the first level at which it converged, the d disks of
+    :func:`_dense_disks` are disjoint and each radius is at most
+    10**-D (1 + |z|).  Otherwise it raises :class:`ConvergenceFailureError`
+    with the last iterate, the message ending with that level's bits,
+    largest radius and least gap.
     """
     if target_digits < 1:
         raise InvalidParameterError("target_digits must be >= 1")
     d = poly.degree
     if d < 1:
         raise InvalidParameterError("polynomial degree must be >= 1")
-    beta = poly.beta
-    if d == 1:
-        prec = PRECISION_LADDER[0]
-        with with_precision(prec):
-            root = -mpc_from(poly.coeffs[0]) / mpc_from(poly.coeffs[1])
-            residuals, thresholds = _certificates(poly, [root], prec, target_digits)
-            return RootSet(roots=(root,), residuals=tuple(residuals),
-                           thresholds=tuple(thresholds), precision_used=prec,
-                           iterations=1, target_digits=target_digits,
-                           beta=beta, n=d)
-
-    if beta is not None and beta.abs2() > 1:
+    if poly.beta is not None and poly.beta.abs2() > 1:
         rs = _solve_sparse(poly, target_digits)
         if rs is not None:
             return rs
 
     seeds = _float_warm_start(poly.coeffs)
-    prev_roots = None
-    prev_ok = False
+    z = None
     total_sweeps = 0
-    best = None
     for prec in PRECISION_LADDER:
         started = time.perf_counter()
         with with_precision(prec + 32):
             cs = poly.coeffs_mp(real=False)
             hi = cs[::-1]
             dhi = [cs[k] * k for k in range(d, 0, -1)]
-            if prev_roots is not None:
-                z = [mp.mpc(r) for r in prev_roots]
-            elif seeds is not None:
-                z = [mp.mpc(s) for s in seeds]
-            else:
-                z = _circle_guesses(cs, d)
+            if z is None:
+                z = [mp.mpc(s) for s in seeds] if seeds is not None else _circle_guesses(cs, d)
             z, sweeps, ok = _aberth_level(hi, dhi, z, prec)
-        log.debug("solve_all degree=%d level: bits=%d sweeps=%d converged=%s "
-                  "seconds=%.6f", d, prec, sweeps, ok, time.perf_counter() - started)
+            rho, bounds = _dense_disks(poly, z, prec + 32)
+            disjoint, min_gap = _disjoint(z, rho)
+            certified = ok and disjoint and _within(z, rho, target_digits)
         total_sweeps += sweeps
-        best = z
-        if ok and prev_ok:
-            with with_precision(prec + 32):
-                agreed = _agree(z, prev_roots, target_digits)
-                if agreed:
-                    certs = _certificates(poly, z, prec, target_digits)
-                    if all(r <= t for r, t in zip(*certs)):
-                        return _root_set(poly, z, certs, prec, total_sweeps, target_digits)
-        prev_roots = z
-        prev_ok = ok
+        log.debug("solve_all degree=%d level: bits=%d sweeps=%d converged=%s "
+                  "certified=%s %s seconds=%.6f", d, prec, sweeps, ok, certified,
+                  _disk_fields(rho, min_gap), time.perf_counter() - started)
+        if certified:
+            return _root_set(poly, z, bounds, rho, prec, total_sweeps, target_digits)
     raise ConvergenceFailureError(
         f"root iteration did not certify {target_digits} digits within the "
-        f"precision ladder {PRECISION_LADDER}", best=best)
+        f"precision ladder {PRECISION_LADDER}; last level: bits={prec} "
+        f"{_disk_fields(rho, min_gap)}", best=z)
 
 
 def _as_complex(c):

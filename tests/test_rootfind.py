@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from betaspec import (
     BetaParam,
+    ConvergenceFailureError,
     PrecPoly,
     RefinementFailureError,
     build_beta_matrix,
@@ -29,13 +30,28 @@ from betaspec.rootfind import _aberth_level, _circle_guesses, _sign_change, _sol
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
 
 
-def test_degree_one_closed_form():
-    beta = BetaParam.parse("2")
-    p = charpoly_closed_form(beta, 1)
-    rs = solve_all(p, 30)
+def _assert_disks(rs):
+    # the certificate: every radius within 10**-D (1 + |z|), and the disks
+    # pairwise disjoint, so each holds exactly one root
+    with mp.workprec(300):
+        tol = mp.mpf(10) ** -rs.target_digits
+        assert all(r <= tol * (1 + abs(z)) for z, r in zip(rs.roots, rs.radii))
+        for j, (z, r) in enumerate(zip(rs.roots, rs.radii)):
+            assert all(abs(z - w) > r + s for w, s in zip(rs.roots[j + 1:], rs.radii[j + 1:]))
+
+
+@pytest.mark.parametrize("beta_text", ["2", "5", "1+1i", "1/2", "1"])
+def test_degree_one_closed_form(beta_text):
+    # p_1(t) = t - (1/beta - 1): the one disk holds that exact zero, and the
+    # residual bounds |p_1| at the returned root
+    beta = BetaParam.parse(beta_text)
+    rs = solve_all(charpoly_closed_form(beta, 1), 30)
     assert len(rs.roots) == 1
-    assert abs(rs.roots[0] - mp.mpf(-0.5)) == 0
-    assert rs.residuals[0] == 0
+    _assert_disks(rs)
+    z = rs.roots[0]
+    zq = QComplex(fraction_from_mpf(z.real), fraction_from_mpf(z.imag))
+    assert (zq - (1 / beta.value - 1)).abs2() <= fraction_from_mpf(rs.radii[0]) ** 2
+    assert (zq - (1 / beta.value - 1)).abs2() <= fraction_from_mpf(rs.residuals[0]) ** 2
 
 
 def test_small_order_matches_dense_eigensolver():
@@ -58,7 +74,7 @@ def test_residual_certificates_hold():
     beta = BetaParam.parse("3")
     rs = solve_all(charpoly_closed_form(beta, 20), 30)
     assert len(rs.roots) == 20
-    assert all(r <= t for r, t in zip(rs.residuals, rs.thresholds))
+    _assert_disks(rs)
 
 
 def test_conjugate_closure_for_real_coefficients():
@@ -130,7 +146,7 @@ def test_complex_beta_roots():
     beta = BetaParam.parse("1+1i")
     rs = solve_all(charpoly_closed_form(beta, 8), 25)
     assert len(rs.roots) == 8
-    assert all(r <= t for r, t in zip(rs.residuals, rs.thresholds))
+    _assert_disks(rs)
 
 
 def test_root_report_schema():
@@ -222,7 +238,11 @@ def test_solver_logs_one_debug_record_per_level(caplog):
         [256 * 2 ** k for k in range(len(solve))]
     assert solve[-1].split("bits=")[1].startswith(f"{rs.precision_used} ")
     assert sum(int(m.split("sweeps=")[1].split()[0]) for m in solve) == rs.iterations
-    assert all("converged=True" in m and "seconds=" in m for m in solve[-2:])
+    # one level suffices: its disks certify, with no second level to agree with
+    assert len(solve) == 1 and "bits=256 " in solve[0]
+    assert all(f in solve[0] for f in ("converged=True", "certified=True", "seconds="))
+    assert mp.mpf(solve[0].split("max_radius=")[1].split()[0]) < mp.mpf(10) ** -25
+    assert float(solve[0].split("min_gap=")[1].split()[0]) > 0
     assert [int(m.split("bits=")[1].split()[0]) for m in refine][-1] == bits
     assert all("settled=True" in m and "newton_steps=" in m and "seconds=" in m
                for m in refine)
@@ -290,6 +310,27 @@ def test_aberth_level_matches_mpmath_objects(beta_text, n):
     assert got[2]
 
 
+def test_aberth_route_refuses_a_duplicated_root(monkeypatch):
+    # two iterates on one zero and none on another: every residual is tiny,
+    # but the two coinciding disks overlap, so no level certifies
+    poly = charpoly_closed_form(BetaParam.parse("4/3"), 20)
+    level = rootfind._aberth_level
+
+    def duplicated(*args, **kwargs):
+        z, sweeps, converged = level(*args, **kwargs)
+        j, k = [i for i, x in enumerate(z) if x.imag != 0][:2]
+        z[k] = z[j]
+        return z, sweeps, converged
+
+    monkeypatch.setattr(rootfind, "_aberth_level", duplicated)
+    with pytest.raises(ConvergenceFailureError) as exc:
+        solve_all(PrecPoly(coeffs=poly.coeffs), 30)
+    message = str(exc.value)
+    assert "last level: bits=2048 max_radius=" in message
+    assert float(message.split("min_gap=")[1]) < 0
+    assert len(exc.value.best) == 20
+
+
 # ---------------------------------------------------------------------------
 # Sparse route: Newton on the five-term form, certified by inclusion disks
 # ---------------------------------------------------------------------------
@@ -333,7 +374,7 @@ def test_sparse_route_certifies_the_figure_spectra(beta_text, n, digits):
     poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
     rs = _solve_sparse(poly, digits)
     assert rs is not None and rs.degree == n
-    assert all(r <= t for r, t in zip(rs.residuals, rs.thresholds))
+    _assert_disks(rs)
 
 
 def _drop_one(seeds):
@@ -396,12 +437,15 @@ def test_sparse_route_logs_one_debug_record_per_level(caplog):
     assert all("seconds=" in m for m in records)
 
 
-@pytest.mark.parametrize("beta_text,n", [("4/3", 20), ("3/2-5/4i", 15), ("5", 12)])
-def test_sparse_residuals_bound_the_exact_value(beta_text, n):
+@pytest.mark.parametrize("route,beta_text,n", [
+    pytest.param(route, beta_text, n, id=f"{prefix}{beta_text}-{n}")
+    for prefix, route in (("", _solve_sparse), ("aberth-", _aberth))
+    for beta_text, n in (("4/3", 20), ("3/2-5/4i", 15), ("5", 12))])
+def test_sparse_residuals_bound_the_exact_value(route, beta_text, n):
     # the residual bounds |p_n| at the returned root itself, which is an
     # exact dyadic rational; a rounded point evaluation can fall below it
     poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
-    rs = _solve_sparse(poly, 30)
+    rs = route(poly, 30)
     assert rs is not None and rs.degree == n
     for z, r in zip(rs.roots, rs.residuals):
         exact = poly.eval_exact(QComplex(fraction_from_mpf(z.real), fraction_from_mpf(z.imag)))
