@@ -57,8 +57,8 @@ class PrecPoly:
     coefficients; inexact ones hold mpf/mpc values.  ``beta`` set means
     "these are the closed-form coefficients of B(beta, n)": only
     :func:`charpoly_closed_form` sets it.  Reports carry it as provenance,
-    and :func:`~betaspec.rootfind.solve_all` solves such a polynomial on its
-    five-term :func:`sparse_form` when |beta| > 1.
+    and :func:`~betaspec.rootfind.solve_all` first tries to solve such a
+    polynomial on its five-term :func:`sparse_form`.
     """
 
     coeffs: tuple

@@ -142,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default=None, help="override the order grid (comma list)")
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     return ap
 
 

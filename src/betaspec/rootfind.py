@@ -7,15 +7,15 @@ has two routes over the doubling precision ladder 256 -> 512 -> 1024 ->
 bounded in outward-rounded interval arithmetic, are pairwise disjoint (so
 each holds exactly one zero) and of radius at most 10**-D (1 + |z|).
 
-* The sparse route, for the closed-form p_n with |beta| > 1 (``poly.beta``
-  set).  The zeros of f = (1 - t)(1 - t/beta) p_n = a + t**n b are seeded
-  from the phase equation t**n = -a(t)/b(t) near the unit circle and from
-  the zeros of a and b off it, then polished by Newton on the five-term form
-  at O(log n) operations per step (for real beta, on the closed upper
-  half-plane only).  Its n + 2 disks must also locate the spurious zeros 1
-  and beta; a real eigenvalue is returned with imaginary part exactly 0.
-  If the seeds are not n + 2 or no level certifies, the route logs why and
-  the Aberth ladder runs instead.
+* The sparse route, for the closed-form p_n (``poly.beta`` set).  The n
+  eigenvalues, the zeros of f = (1 - t)(1 - t/beta) p_n = a + t**n b other
+  than 1 and beta, are seeded from the phase equation t**n = -a(t)/b(t)
+  near the unit circle and from the zeros of a and b off it, then polished
+  by Newton on the five-term form at O(log n) operations per step (for
+  real beta, on the closed upper half-plane only).  Their n disks, f's own,
+  must also exclude the points 1 and beta; a real eigenvalue is returned
+  with imaginary part exactly 0.  If the seeds are not n or no level
+  certifies, the route logs why and the Aberth ladder runs instead.
 * The Ehrlich-Aberth ladder, for every other polynomial: simultaneous
   iteration (no deflation, so the unit-circle cluster stays coupled) from
   degree-many points on the Cauchy-bound circle ``1 + max|c_k| / |c_d|``
@@ -329,15 +329,18 @@ def _root_set(poly, roots, residuals, radii, prec, iterations, target_digits) ->
 # ---------------------------------------------------------------------------
 
 def _phase_seeds(form: SparseForm) -> list:
-    """Float64 seeds for the n + 2 zeros of f = a + t**n b.
+    """Float64 seeds for the n eigenvalues, the zeros of f = a + t**n b other
+    than the spurious zeros 1 and beta.
 
     Near the unit circle the zeros solve t**n = r(t) with r = -a/b, so their
     arguments solve n theta - arg r(e^{i theta}) in 2 pi Z.  The phase is
     unwrapped on a grid of about 16 (n + 2) points, each crossing is
     interpolated, and its seed gets the modulus |r|**(1/n) there; t = 1 is
-    the k = 0 solution (r(1) = 1) and is seeded exactly.  Inside the circle
-    f is close to a and outside it to t**n b, so the zero of a inside and the
-    zeros of b outside are seeds as well.
+    the k = 0 solution (r(1) = 1) and is not seeded.  Inside the circle f is
+    close to a and outside it to t**n b, so the zero of a inside and the
+    zero of b outside are seeds as well.  Since
+    b = x ((t - beta)(t - S_n) + x**n), the zero of b nearest beta stands
+    for beta and is not seeded.
 
     For real beta only the closed upper half-plane is seeded: a real seed is
     a float and stands for itself, a complex one (positive imaginary part)
@@ -363,7 +366,7 @@ def _phase_seeds(form: SparseForm) -> list:
     phase[0] = 0.0
     quantum = 0.5 if real else 1.0
     phase[-1] = round(phase[-1] / quantum) * quantum
-    seeds = [1.0 if real else 1 + 0j]
+    seeds = []
     for i in range(points):
         u, v = phase[i], phase[i + 1]
         ks = (range(math.floor(u) + 1, math.floor(v) + 1) if v > u
@@ -379,7 +382,9 @@ def _phase_seeds(form: SparseForm) -> list:
     za = -a0 / a1  # beta - 1
     if abs(za) < 1:
         seeds.append(za.real if real else za)
-    for zb in np.roots([b2.real, b1.real, b0.real] if real else [b2, b1, b0]):
+    zbs = np.roots([b2.real, b1.real, b0.real] if real else [b2, b1, b0])
+    zbs = np.delete(zbs, np.argmin(np.abs(zbs - _as_complex(form.beta.value))))
+    for zb in zbs:
         if abs(zb) > 1 and not (real and zb.imag < 0):
             seeds.append(float(zb.real) if real and zb.imag == 0 else complex(zb))
     return seeds
@@ -402,16 +407,18 @@ def _newton(cs, n: int, t, tol):
 
 
 def _inclusion_disks(form: SparseForm, roots: list, bits: int):
-    """Certify the iterates of the sparse route as the n + 2 zeros of f.
+    """Certify the iterates of the sparse route as the n zeros of p_n.
 
     ``roots`` are the iterates of :func:`_phase_seeds`' seeds; for real beta
     the complex ones stand for their conjugates too.  Each gets the disk of
-    :func:`_iv_disks` for f = a + t**n b from the exact coefficients.  Returns
-    ``(zeros, eigen, rho, bounds, min_gap)``: all n + 2 centres, the indices
-    of the n that remain once the disks holding the exact zeros 1 and beta
-    are dropped (None if the disks overlap or those two are not located),
-    each radius, each upper bound on |p_n| = |f| / |(1 - z)(1 - z/beta)|
-    (inf if the divisor may vanish), and the least gap between disks.
+    :func:`_iv_disks` for f = a + t**n b from the exact coefficients, so each
+    disk holds a zero of f.  If the disks are pairwise disjoint and neither
+    spurious zero 1 nor beta lies in any of them, each holds a zero of p_n,
+    so the n disks hold all n eigenvalues, one each.  Returns
+    ``(zeros, rho, bounds, min_gap)``: the n centres (None if the disks
+    overlap each other, 1 or beta), each radius, each upper bound on
+    |p_n| = |f| / |(1 - z)(1 - z/beta)| (inf if the divisor may vanish), and
+    the least gap between disks and points.
 
     A real centre's disk is symmetric under conjugation, so the one zero it
     holds is real: real seeds stay real under Newton, which is why a real
@@ -428,22 +435,14 @@ def _inclusion_disks(form: SparseForm, roots: list, bits: int):
         xiv = _iv_point(iv, form.x)
         rho, bounds = _iv_disks(roots, n + 2, lambda z: (
             *eval_sparse(civ, n, z), (1 - z) * (1 - xiv * z)))
-        if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
-            rho += [x for x, z in zip(rho, roots) if isinstance(z, mp.mpc)]
-            bounds += [x for x, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
-        disjoint, min_gap = _disjoint(zeros, rho)
-        if not disjoint:
-            return zeros, None, rho, bounds, min_gap
-        spurious = []
-        for point in (Fraction(1), form.beta.value):
-            j = int(np.argmin([abs(complex(z) - _as_complex(point)) for z in zeros]))
-            if _upper(abs(_iv_point(iv, zeros[j]) - _iv_point(iv, point))) > rho[j]:
-                return zeros, None, rho, bounds, min_gap
-            spurious.append(j)
     finally:
         iv.prec = saved
-    eigen = [j for j in range(len(zeros)) if j not in spurious]
-    return zeros, eigen, rho, bounds, min_gap
+    if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
+        rho += [x for x, z in zip(rho, roots) if isinstance(z, mp.mpc)]
+        bounds += [x for x, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
+    points = {1 + 0j, _as_complex(form.beta.value)}  # one point at beta = 1
+    disjoint, min_gap = _disjoint(zeros + list(points), rho + [0] * len(points))
+    return zeros if disjoint else None, rho, bounds, min_gap
 
 
 def _refuse(d: int, reason: str) -> None:
@@ -458,24 +457,23 @@ def _disk_fields(rho, min_gap) -> str:
 
 
 def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
-    """The sparse route of :func:`solve_all` for closed-form p_n, |beta| > 1.
+    """The sparse route of :func:`solve_all` for closed-form p_n.
 
     Newton on f = (1 - t)(1 - t/beta) p_n = a + t**n b polishes the seeds of
     :func:`_phase_seeds` at each level of ``PRECISION_LADDER``, O(log n)
     operations per step.  The first level is accepted at which Newton has
-    settled, the disks of :func:`_inclusion_disks` are disjoint with 1 and
-    beta in two of them, and every eigenvalue's radius is at most
-    10**-D (1 + |z|); the disks' bounds on |p_n| are its residuals.  Returns
-    None, with one DEBUG record saying why, when the seeds are not n + 2,
-    when Newton does not settle, when the disks overlap, or when no level
-    certifies.
+    settled, the n disks of :func:`_inclusion_disks` are disjoint and clear
+    of 1 and beta, and every radius is at most 10**-D (1 + |z|); the disks'
+    bounds on |p_n| are its residuals.  Returns None, with one DEBUG record
+    saying why, when the seeds are not n, when Newton does not settle, when
+    the disks overlap, or when no level certifies.
     """
     d = poly.degree
     form = sparse_form(poly.beta, d)
     z = _phase_seeds(form)
     count = sum(1 if isinstance(s, float) else 2 for s in z) if form.is_real else len(z)
-    if count != d + 2:
-        return _refuse(d, f"seeds={count} zeros={d + 2}")
+    if count != d:
+        return _refuse(d, f"seeds={count} zeros={d}")
     iterations = 0
     for prec in PRECISION_LADDER:
         started = time.perf_counter()
@@ -484,11 +482,10 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
             tol = mp.mpf(2) ** (-(prec - 32))
             z, steps, settled = zip(*(_newton(cs, d, mp.mpmathify(t), tol) for t in z))
             steps, settled = max(steps), all(settled)
-            eigen = rho = min_gap = None
+            zeros = rho = min_gap = None
             if settled:
-                zeros, eigen, rho, bounds, min_gap = _inclusion_disks(form, z, prec + 32)
-            certified = eigen is not None and _within(
-                [zeros[j] for j in eigen], [rho[j] for j in eigen], target_digits)
+                zeros, rho, bounds, min_gap = _inclusion_disks(form, z, prec + 32)
+            certified = zeros is not None and _within(zeros, rho, target_digits)
         iterations += steps
         log.debug("solve_all sparse degree=%d level: bits=%d newton_steps=%d "
                   "certified=%s %s seconds=%.6f", d, prec, steps, certified,
@@ -496,10 +493,8 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
         if not settled:
             return _refuse(d, f"newton did not settle at {prec} bits")
         if certified:
-            return _root_set(poly, [zeros[j] for j in eigen],
-                             [bounds[j] for j in eigen], [rho[j] for j in eigen],
-                             prec, iterations, target_digits)
-        if eigen is None:
+            return _root_set(poly, zeros, bounds, rho, prec, iterations, target_digits)
+        if zeros is None:
             return _refuse(d, f"overlapping disks at {prec} bits")
     return _refuse(d, "no level certified")
 
@@ -507,7 +502,7 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
 def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     """Find all roots of ``poly`` certified to ``target_digits`` digits.
 
-    Closed-form p_n with |beta| > 1 first take the sparse route
+    Closed-form p_n (``poly.beta`` set) first take the sparse route
     (:func:`_solve_sparse`).  When it declines, and for every other
     polynomial, the Aberth ladder runs, each level seeded by the last, and
     accepts the first level at which it converged, the d disks of
@@ -521,7 +516,7 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     d = poly.degree
     if d < 1:
         raise InvalidParameterError("polynomial degree must be >= 1")
-    if poly.beta is not None and poly.beta.abs2() > 1:
+    if poly.beta is not None:
         rs = _solve_sparse(poly, target_digits)
         if rs is not None:
             return rs

@@ -175,6 +175,10 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         run(["cluster", "--beta", "3", "--n", "4", "--exact"])
     assert exc.value.code == 2
+    # reproduce writes CSV only
+    with pytest.raises(SystemExit) as exc:
+        run(["reproduce", "fig1", "--format", "json"])
+    assert exc.value.code == 2
 
 
 def test_charpoly_exact_csv(capsys):

@@ -1,4 +1,5 @@
 """Degenerate-parameter analysis: exact power method, kernel, expansion checks."""
+import logging
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from betaspec import (
     BetaParam,
     InvalidOrderError,
     build_beta_matrix,
+    eigenvalues,
     extrapolate_c2,
     first_component_reference,
     gerschgorin_check,
@@ -86,6 +88,21 @@ def test_lambda_max_expansion_row():
         assert abs(fit.c0_est - mp.mpf("-0.0204166702")) < 1e-9
         assert abs(fit.c1_est - mp.mpf("-1.0208335106")) < 1e-9
     assert fit.lambda_max < 50
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_beta1_spectrum_holds_the_kernel_and_the_power_method_root(caplog, n):
+    # the certified spectrum against the exact kernel vector and the exact
+    # power method: both are independent of the root finder
+    eigenvalues.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        rs = eigenvalues(BETA1, n, 30)
+    assert not [r for r in caplog.records if "fallback" in r.getMessage()]
+    assert mp.mpc(0) in rs.roots
+    top = max(rs.roots, key=abs)
+    assert top.imag == 0
+    with mp.workprec(256):
+        assert abs(top.real - lambda_max_beta1(n, 30).lambda_max) < mp.mpf(10) ** -28
 
 
 @pytest.mark.parametrize("n", [3, 50, 400])

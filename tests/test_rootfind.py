@@ -354,6 +354,7 @@ CROSS_BETAS = st.one_of(
     st.fractions(min_value=2, max_value=6, max_denominator=40).map(BetaParam),
     st.builds(QComplex, _CROSS_FRACTIONS, _CROSS_FRACTIONS.filter(bool))
     .filter(lambda z: Fraction(9, 4) <= z.abs2() <= 9).map(BetaParam),
+    st.just(BetaParam(1)),
 )
 
 
@@ -369,7 +370,7 @@ def test_sparse_route_matches_aberth(beta, n):
 
 @pytest.mark.parametrize("beta_text,n,digits", [
     ("5", 100, 30), ("3", 51, 30), ("4/3", 101, 30), ("4/3", 70, 200),
-    ("3/2-5/4i", 50, 30), ("-3", 40, 30)])
+    ("3/2-5/4i", 50, 30), ("-3", 40, 30), ("1", 50, 30), ("1", 100, 30)])
 def test_sparse_route_certifies_the_figure_spectra(beta_text, n, digits):
     poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
     rs = _solve_sparse(poly, digits)
@@ -391,9 +392,24 @@ def _replace_by_copy(seeds):
     return seeds[:k] + [seeds[j]] + seeds[k + 1:]
 
 
+def _replace_real(seeds, point):
+    # keeps the count: the seed polishes to the spurious zero at ``point``
+    j = next(i for i, s in enumerate(seeds) if isinstance(s, float))
+    return seeds[:j] + [point] + seeds[j + 1:]
+
+
+def _replace_real_by_one(seeds):
+    return _replace_real(seeds, 1.0)
+
+
+def _replace_real_by_beta(seeds):
+    return _replace_real(seeds, 4 / 3)
+
+
 @pytest.mark.parametrize("mutate,reason", [
-    (_drop_one, "seeds=51 zeros=52"), (_append_copy, "seeds=53 zeros=52"),
-    (_replace_by_copy, "overlapping disks")])
+    (_drop_one, "seeds=49 zeros=50"), (_append_copy, "seeds=51 zeros=50"),
+    (_replace_by_copy, "overlapping disks"), (_replace_real_by_one, "overlapping disks"),
+    (_replace_real_by_beta, "overlapping disks")])
 def test_sparse_route_refuses_a_wrong_seed_set(monkeypatch, caplog, mutate, reason):
     poly = charpoly_closed_form(BetaParam.parse("4/3"), 50)
     ref = _aberth(poly, 30)
