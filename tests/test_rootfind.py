@@ -343,8 +343,15 @@ def _aberth(poly, digits):
 def _same_roots(got, ref, digits):
     assert len(got.roots) == len(ref.roots)
     assert optimal_match_distance(got.roots, ref.roots) < 10 ** -(digits - 2)
-    assert [decimal_str(z.real, digits) for z in got.roots] == \
-        [decimal_str(z.real, digits) for z in ref.roots]
+    # the sparse route returns the zero eigenvalue of beta = 1 as exactly 0;
+    # the Aberth iterate there is noise of ~1e-160 whose sign also moves it in
+    # the argument order, so on both sides a disk that holds 0 is matched by
+    # count and the digits of the other roots are compared
+    got_rest = [z for z, r in zip(got.roots, got.radii) if abs(z) > r]
+    ref_rest = [w for w, r in zip(ref.roots, ref.radii) if abs(w) > r]
+    assert len(got_rest) == len(ref_rest)
+    assert [decimal_str(z.real, digits) for z in got_rest] == \
+        [decimal_str(w.real, digits) for w in ref_rest]
 
 
 _CROSS_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
