@@ -10,7 +10,6 @@ analysis.
 from .errors import (
     BetaSpecError,
     ConvergenceFailureError,
-    InconsistencyError,
     InvalidOrderError,
     InvalidParameterError,
     PoleError,

@@ -4,6 +4,10 @@ Every analysis is exposed as a subcommand writing CSV or JSON to --out (or
 stdout), plus a ``reproduce`` runner that regenerates the reference figure
 data files and tables.  Exit codes: 0 success, 1 computational failure,
 2 usage error.  Identical flags produce byte-identical output files.
+
+Each flag's argparse spec is in ``FLAGS`` once; ``COMMANDS`` gives each
+subcommand its handler, the flags it reads (the only ones it accepts), its
+help and epilog.  :func:`run` checks the flags and writes what it returns.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import BetaSpecError
 from .charpoly import charpoly_closed_form, poly_to_json
@@ -20,15 +25,11 @@ from .limitcase import (
     lambda_max_beta1,
     power_method_trace,
 )
-from .matrices import (
-    REAL_GT1,
-    BetaParam,
-    build_beta_matrix,
-    matrix_to_csv,
-)
-from .numerics import decimal_str
+from .matrices import REAL_GT1, BetaParam, build_beta_matrix, matrix_to_csv
+from .numerics import DEFAULT_PRECISION_BITS, decimal_str, scalar_str
 from .spectra import (
     BUILTIN_TEST_FUNCTIONS,
+    DEFAULT_EIG_DIGITS,
     cluster_count,
     cluster_csv,
     eigenvalues,
@@ -49,6 +50,32 @@ class UsageError(Exception):
     """Flag combination that fails a command's preconditions (exit code 2)."""
 
 
+_ORDERS = dict(required=True, help="matrix order, or comma list of orders")
+
+# argparse spec of each flag, by the name COMMANDS lists it under.  "order"
+# (one matrix order) and "orders" (a comma list) are both --n; "grid",
+# "target_digits" and "outdir" are reproduce's --n, --digits and --out.
+FLAGS = {
+    "beta": (("--beta",), dict(required=True, help="parameter as p/q, decimal, or a+bi")),
+    "order": (("--n",), _ORDERS),
+    "orders": (("--n",), _ORDERS),
+    "digits": (("--digits",), dict(type=int, default=DEFAULT_EIG_DIGITS,
+                                   help="significant digits target")),
+    "prec": (("--prec",), dict(type=int, default=DEFAULT_PRECISION_BITS,
+                               help="working precision in bits")),
+    "format": (("--format",), dict(choices=("csv", "json"), default="csv", dest="fmt")),
+    "out": (("--out",), dict(default=None, help="output path (default stdout)")),
+    "exact": (("--exact",), dict(action="store_true", help="exact p/q output")),
+    "eps": (("--eps",), dict(type=float, default=0.05, help="annulus half-width")),
+    "kind": (("--kind",), dict(choices=("eigen", "singular", "both"), default="both")),
+    "target": (("target",), dict(choices=REPRODUCE_TARGETS)),
+    "grid": (("--n",), dict(default=None, help="override the order grid (comma list)")),
+    "target_digits": (("--digits",), dict(type=int, default=None)),
+    "outdir": (("--out",), dict(default=".", dest="outdir", metavar="OUT",
+                                help="output directory")),
+}
+
+
 def _parse_n_list(text: str) -> list[int]:
     try:
         values = [int(x) for x in text.split(",") if x.strip()]
@@ -59,50 +86,189 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _parse_beta(text: str) -> BetaParam:
-    try:
-        return BetaParam.parse(text)
-    except BetaSpecError as exc:
-        raise UsageError(str(exc))
-
-
-def _require(beta: BetaParam, allowed, command: str) -> None:
-    if beta.beta_class not in allowed:
-        raise UsageError(
-            f"command {command!r} requires beta in class {sorted(allowed)}, "
-            f"got {beta} (class {beta.beta_class})")
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        path = Path(out)
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text)
 
 
-# Flags that only some commands read; a command accepts them only if it uses them.
-PREC_COMMANDS = ("singvals", "weyl")
-EXACT_COMMANDS = ("matrix", "charpoly")
+def _lines(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
 
 
-def _command(sub, name: str, beta=True, nlist=True, **kwargs) -> argparse.ArgumentParser:
-    """Subcommand parser with the shared flags plus the ones from the table above."""
-    p = sub.add_parser(name, **kwargs)
-    if beta:
-        p.add_argument("--beta", required=True, help="parameter as p/q, decimal, or a+bi")
-    if nlist:
-        p.add_argument("--n", required=True, help="matrix order, or comma list of orders")
-    p.add_argument("--digits", type=int, default=30, help="significant digits target")
-    if name in PREC_COMMANDS:
-        p.add_argument("--prec", type=int, default=256, help="working precision in bits")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    if name in EXACT_COMMANDS:
-        p.add_argument("--exact", action="store_true", help="exact p/q output")
-    return p
+def _root_row(z, digits: int) -> str:
+    return f"{decimal_str(z.real, digits)},{decimal_str(z.imag, digits)}"
+
+
+def _matrix(args) -> str:
+    rows = build_beta_matrix(args.beta, args.n).dense_exact()
+    if args.fmt == "csv":
+        return matrix_to_csv(rows, digits=args.digits, exact=args.exact)
+    return json.dumps({
+        "n": args.n, "beta": str(args.beta),
+        "rows": [[scalar_str(x, args.digits, args.exact) for x in row] for row in rows],
+    }) + "\n"
+
+
+def _charpoly(args) -> str:
+    poly = charpoly_closed_form(args.beta, args.n)
+    if args.fmt == "json":
+        return poly_to_json(poly, digits=args.digits) + "\n"
+    return _lines("k,coefficient", (f"{k},{scalar_str(c, args.digits, args.exact)}"
+                                    for k, c in enumerate(poly.coeffs)))
+
+
+def _eigs(args) -> str:
+    rs = eigenvalues(args.beta, args.n, args.digits)
+    if args.fmt == "json":
+        return rs.as_json(args.digits) + "\n"
+    return _lines("re,im,residual", (f"{_root_row(z, args.digits)},{decimal_str(r, 3)}"
+                                     for z, r in zip(rs.roots, rs.residuals)))
+
+
+def _cluster(args) -> str:
+    reports = [cluster_count(eigenvalues(args.beta, n, args.digits), args.eps)
+               for n in args.n]
+    if args.fmt == "json":
+        return "[" + ",".join(r.as_json(args.digits) for r in reports) + "]\n"
+    return cluster_csv(reports)
+
+
+def _outliers(args) -> str:
+    if not (1 < args.beta.real_value < 2):
+        raise UsageError("outlier tracking requires beta strictly between 1 and 2")
+    records = [find_outliers(args.beta, n, args.digits, annulus_eps=args.eps)
+               for n in args.n]
+    if args.fmt == "csv":
+        return outlier_csv(records, digits=args.digits)
+
+    def num(x, digits):
+        return decimal_str(x, digits) if x is not None else None
+    return json.dumps([{
+        "n": r.n, "beta": str(r.beta), "eps": r.annulus_eps,
+        "large": num(r.large, args.digits), "small": num(r.small, args.digits),
+        "err_large": num(r.err_large, 6), "err_small": num(r.err_small, 6),
+        "count_verified": r.count_verified, "diagnostic": r.diagnostic,
+    } for r in records]) + "\n"
+
+
+def _singvals(args) -> str:
+    sv = [decimal_str(s, args.digits)
+          for s in singular_values(args.beta, args.n, bits=args.prec)]
+    if args.fmt == "json":
+        return json.dumps({"n": args.n, "beta": str(args.beta),
+                           "singular_values": sv}) + "\n"
+    return "\n".join(sv) + "\n"
+
+
+def _weyl(args) -> str:
+    """Sums at the solver defaults: the test functions read float64 values."""
+    kinds = ("eigen", "singular") if args.kind == "both" else (args.kind,)
+    if "eigen" in kinds and args.beta.abs2() < 1:
+        raise UsageError("eigen-kind distribution sums require |beta| >= 1")
+    reports = []
+    for n in args.n:
+        for kind in kinds:
+            values = (eigenvalues(args.beta, n, DEFAULT_EIG_DIGITS).roots
+                      if kind == "eigen" else singular_values(args.beta, n))
+            reports += [weyl_sum(values, fid, kind) for fid in sorted(BUILTIN_TEST_FUNCTIONS)]
+    if args.fmt == "json":
+        return "[" + ",".join(r.as_json() for r in reports) + "]\n"
+    return weyl_csv(reports)
+
+
+def _beta1(args) -> str:
+    if any(n < 2 for n in args.n):
+        raise UsageError("beta1 analysis requires n >= 2")
+    if args.fmt == "csv":
+        return beta1_table_csv(args.n, target_digits=args.digits)
+    payload = []
+    for n in args.n:
+        entry = json.loads(lambda_max_beta1(n, args.digits).as_json(args.digits))
+        if n >= 3:
+            entry["power_trace"] = json.loads(power_method_trace(n, 5).as_json())
+        payload.append(entry)
+    return json.dumps(payload) + "\n"
+
+
+def _reproduce(args) -> str:
+    """Write the target's files to --out; the text lists them."""
+    if args.target == "table1" and args.digits is not None:
+        raise UsageError("reproduce table1 is exact and takes no --digits")
+    ns = args.n or list(TABLE1_ORDERS if args.target == "table1" else REFERENCE_ORDERS)
+    files = {}
+    if args.target in FIGURE_BETAS:
+        beta = BetaParam.parse(FIGURE_BETAS[args.target])
+        digits = args.digits or DEFAULT_EIG_DIGITS
+        for n in ns:
+            files[f"{args.target}_n{n}.csv"] = _lines("re,im", (
+                _root_row(z, digits) for z in eigenvalues(beta, n, digits).roots))
+    elif args.target == "outlier-digits":
+        digits = args.digits or 50
+        records = [find_outliers(BetaParam.parse("4/3"), n, digits) for n in ns]
+        files["outlier_digits.csv"] = _lines("n,lambda_max", (
+            f"{r.n},{decimal_str(r.large, digits + 1)}" for r in records))
+    elif args.target == "table1":
+        rows = []
+        for n in ns:
+            trace = power_method_trace(n, 5)
+            for k in range(1, 6):
+                got, ref = trace.first_components[k], first_component_reference(k, n)
+                rows.append(f"{n},{k},{got},{ref},{got == ref}")
+        files["table1.csv"] = _lines("n,k,first_component,reference,match", rows)
+    else:  # table2
+        files["table2.csv"] = beta1_table_csv(ns, target_digits=args.digits or 12)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (outdir / name).write_text(text)
+    return "".join(f"wrote {outdir / name}\n" for name in files)
+
+
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], str]
+    flags: tuple
+    help: str
+    epilog: str
+    beta_class: str | None = None   # the class --beta must have, if any
+
+
+_OUTPUT = ("digits", "format", "out")
+
+COMMANDS = {
+    "matrix": Command(_matrix, ("beta", "order", *_OUTPUT, "exact"), "dense matrix export",
+                      "CSV: one matrix row per line."),
+    "charpoly": Command(_charpoly, ("beta", "order", *_OUTPUT, "exact"),
+                        "characteristic polynomial coefficients",
+                        "CSV columns: k,coefficient (low to high). JSON: "
+                        "{degree, coeffs, beta, exact}."),
+    "eigs": Command(_eigs, ("beta", "order", *_OUTPUT),
+                    "all eigenvalues with residual certificates",
+                    "CSV columns: re,im,residual. JSON: root report."),
+    "cluster": Command(_cluster, ("beta", "orders", *_OUTPUT, "eps"),
+                       "unit-circle annulus partition counts",
+                       "CSV columns: n,beta,epsilon,inside_count,outside_count.", REAL_GT1),
+    "outliers": Command(_outliers, ("beta", "orders", *_OUTPUT, "eps"),
+                        "outlier tracking for beta in (1,2)",
+                        "CSV columns: n,large,small,err_large,err_small.", REAL_GT1),
+    "singvals": Command(_singvals, ("beta", "order", "digits", "prec", "format", "out"),
+                        "singular values, sorted nonincreasing",
+                        "CSV: one singular value per line."),
+    "weyl": Command(_weyl, ("beta", "orders", "format", "out", "kind"),
+                    "averaged test-function distribution sums",
+                    "CSV columns: n,f_id,kind,empirical,reference,gap. Eigenvalues at "
+                    f"{DEFAULT_EIG_DIGITS} digits, singular values at "
+                    f"{DEFAULT_PRECISION_BITS} bits. Built-in functions: "
+                    f"{', '.join(sorted(BUILTIN_TEST_FUNCTIONS))}."),
+    "beta1": Command(_beta1, ("orders", *_OUTPUT), "degenerate-parameter (beta=1) analysis",
+                     "CSV columns: n,c0_est,c1_est. JSON adds the exact power-method trace."),
+    "reproduce": Command(_reproduce, ("target", "grid", "target_digits", "outdir"),
+                         "regenerate reference data files",
+                         "Targets: " + ", ".join(REPRODUCE_TARGETS) + ". Figure targets "
+                         "write one scatter CSV (re,im) per order."),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,257 +277,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra of rank-one corrections of the shift matrix at "
                     "arbitrary precision.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    _command(sub, "matrix", help="dense matrix export",
-             epilog="CSV: one matrix row per line.")
-    _command(sub, "charpoly", help="characteristic polynomial coefficients",
-             epilog="CSV columns: k,coefficient (low to high). JSON: "
-                    "{degree, coeffs, beta, exact}.")
-    _command(sub, "eigs", help="all eigenvalues with residual certificates",
-             epilog="CSV columns: re,im,residual. JSON: root report.")
-    p = _command(sub, "cluster", help="unit-circle annulus partition counts",
-                 epilog="CSV columns: n,beta,epsilon,inside_count,outside_count.")
-    p.add_argument("--eps", type=float, default=0.05, help="annulus half-width")
-    p = _command(sub, "outliers", help="outlier tracking for beta in (1,2)",
-                 epilog="CSV columns: n,large,small,err_large,err_small.")
-    p.add_argument("--eps", type=float, default=0.05, help="annulus half-width")
-    _command(sub, "singvals", help="singular values, sorted nonincreasing",
-             epilog="CSV: one singular value per line.")
-    p = _command(sub, "weyl", help="averaged test-function distribution sums",
-                 epilog="CSV columns: n,f_id,kind,empirical,reference,gap. "
-                        f"Built-in functions: {', '.join(sorted(BUILTIN_TEST_FUNCTIONS))}.")
-    p.add_argument("--kind", choices=("eigen", "singular", "both"), default="both")
-    _command(sub, "beta1", beta=False, help="degenerate-parameter (beta=1) analysis",
-             epilog="CSV columns: n,c0_est,c1_est. JSON adds the "
-                    "exact power-method trace.")
-
-    p = sub.add_parser("reproduce", help="regenerate reference data files",
-                       epilog="Targets: " + ", ".join(REPRODUCE_TARGETS) + ". "
-                              "Figure targets write one scatter CSV (re,im) per order.")
-    p.add_argument("target", choices=REPRODUCE_TARGETS)
-    p.add_argument("--n", default=None, help="override the order grid (comma list)")
-    p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--out", default=".", help="output directory")
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help, epilog=cmd.epilog)
+        for flag in cmd.flags:
+            names, spec = FLAGS[flag]
+            p.add_argument(*names, **spec)
     return ap
 
 
-def _cmd_matrix(args) -> int:
-    beta = _parse_beta(args.beta)
-    ns = _parse_n_list(args.n)
-    if len(ns) != 1:
-        raise UsageError("matrix export takes a single --n")
-    mat = build_beta_matrix(beta, ns[0])
-    if args.fmt == "csv":
-        _emit(matrix_to_csv(mat.dense_exact(), digits=args.digits, exact=args.exact),
-              args.out)
-    else:
-        rows = mat.dense_exact()
-        payload = {
-            "n": mat.n, "beta": str(beta),
-            "rows": [[str(x) if args.exact else decimal_str(x, args.digits)
-                      for x in row] for row in rows],
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
-    return 0
-
-
-def _cmd_charpoly(args) -> int:
-    beta = _parse_beta(args.beta)
-    ns = _parse_n_list(args.n)
-    if len(ns) != 1:
-        raise UsageError("charpoly takes a single --n")
-    poly = charpoly_closed_form(beta, ns[0])
-    if args.fmt == "json":
-        _emit(poly_to_json(poly, digits=args.digits) + "\n", args.out)
-    else:
-        lines = ["k,coefficient"]
-        for k, c in enumerate(poly.coeffs):
-            lines.append(f"{k},{str(c) if args.exact else decimal_str(c, args.digits)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _cmd_eigs(args) -> int:
-    beta = _parse_beta(args.beta)
-    ns = _parse_n_list(args.n)
-    if len(ns) != 1:
-        raise UsageError("eigs takes a single --n")
-    rs = eigenvalues(beta, ns[0], args.digits)
-    if args.fmt == "json":
-        _emit(rs.as_json(args.digits) + "\n", args.out)
-    else:
-        lines = ["re,im,residual"]
-        for z, r in zip(rs.roots, rs.residuals):
-            lines.append(f"{decimal_str(z.real, args.digits)},"
-                         f"{decimal_str(z.imag, args.digits)},{decimal_str(r, 3)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    beta = _parse_beta(args.beta)
-    _require(beta, {REAL_GT1}, "cluster")
-    if args.eps <= 0:
+def _validate(args) -> None:
+    """Check the flags the command read, and parse --n and --beta in place."""
+    cmd = COMMANDS[args.command]
+    if getattr(args, "digits", None) is not None and args.digits < 1:
+        raise UsageError("--digits must be >= 1")
+    if getattr(args, "prec", 64) < 64:
+        raise UsageError("--prec must be >= 64 bits")
+    if getattr(args, "eps", 1) <= 0:
         raise UsageError("--eps must be positive")
-    ns = _parse_n_list(args.n)
-    reports = [cluster_count(eigenvalues(beta, n, args.digits), args.eps) for n in ns]
-    if args.fmt == "json":
-        _emit("[" + ",".join(r.as_json(args.digits) for r in reports) + "]\n", args.out)
-    else:
-        _emit(cluster_csv(reports), args.out)
-    return 0
-
-
-def _cmd_outliers(args) -> int:
-    beta = _parse_beta(args.beta)
-    _require(beta, {REAL_GT1}, "outliers")
-    if not (1 < beta.real_value < 2):
-        raise UsageError("outlier tracking requires beta strictly between 1 and 2")
-    ns = _parse_n_list(args.n)
-    records = [find_outliers(beta, n, args.digits, annulus_eps=args.eps) for n in ns]
-    if args.fmt == "json":
-        payload = []
-        for r in records:
-            payload.append({
-                "n": r.n, "beta": str(r.beta), "eps": r.annulus_eps,
-                "large": decimal_str(r.large, args.digits) if r.large is not None else None,
-                "small": decimal_str(r.small, args.digits) if r.small is not None else None,
-                "err_large": decimal_str(r.err_large, 6) if r.err_large is not None else None,
-                "err_small": decimal_str(r.err_small, 6) if r.err_small is not None else None,
-                "count_verified": r.count_verified,
-                "diagnostic": r.diagnostic,
-            })
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        _emit(outlier_csv(records, digits=args.digits), args.out)
-    return 0
-
-
-def _cmd_singvals(args) -> int:
-    beta = _parse_beta(args.beta)
-    ns = _parse_n_list(args.n)
-    if len(ns) != 1:
-        raise UsageError("singvals takes a single --n")
-    sv = singular_values(beta, ns[0], bits=args.prec)
-    if args.fmt == "json":
-        _emit(json.dumps({"n": ns[0], "beta": str(beta),
-                          "singular_values": [decimal_str(s, args.digits) for s in sv]})
-              + "\n", args.out)
-    else:
-        _emit("\n".join(decimal_str(s, args.digits) for s in sv) + "\n", args.out)
-    return 0
-
-
-def _cmd_weyl(args) -> int:
-    beta = _parse_beta(args.beta)
-    kinds = ("eigen", "singular") if args.kind == "both" else (args.kind,)
-    if "eigen" in kinds and beta.abs2() < 1:
-        raise UsageError("eigen-kind distribution sums require |beta| >= 1")
-    ns = _parse_n_list(args.n)
-    reports = []
-    for n in ns:
-        for kind in kinds:
-            values = (eigenvalues(beta, n, args.digits).roots if kind == "eigen"
-                      else singular_values(beta, n, bits=args.prec))
-            for fid in sorted(BUILTIN_TEST_FUNCTIONS):
-                reports.append(weyl_sum(values, fid, kind))
-    if args.fmt == "json":
-        _emit("[" + ",".join(r.as_json() for r in reports) + "]\n", args.out)
-    else:
-        _emit(weyl_csv(reports), args.out)
-    return 0
-
-
-def _cmd_beta1(args) -> int:
-    ns = _parse_n_list(args.n)
-    if any(n < 2 for n in ns):
-        raise UsageError("beta1 analysis requires n >= 2")
-    if args.fmt == "csv":
-        _emit(beta1_table_csv(ns, target_digits=args.digits), args.out)
-    else:
-        payload = []
-        for n in ns:
-            fit = lambda_max_beta1(n, args.digits)
-            entry = json.loads(fit.as_json(args.digits))
-            if n >= 3:
-                trace = power_method_trace(n, 5)
-                entry["power_trace"] = json.loads(trace.as_json())
-            payload.append(entry)
-        _emit(json.dumps(payload) + "\n", args.out)
-    return 0
-
-
-def _cmd_reproduce(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    ns = _parse_n_list(args.n) if args.n else list(REFERENCE_ORDERS)
-    written: list[Path] = []
-
-    if args.target in FIGURE_BETAS:
-        beta = BetaParam.parse(FIGURE_BETAS[args.target])
-        digits = args.digits or 30
-        for n in ns:
-            rs = eigenvalues(beta, n, digits)
-            lines = ["re,im"]
-            for z in rs.roots:
-                lines.append(f"{decimal_str(z.real, digits)},{decimal_str(z.imag, digits)}")
-            path = outdir / f"{args.target}_n{n}.csv"
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
-    elif args.target == "outlier-digits":
-        beta = BetaParam.parse("4/3")
-        digits = args.digits or 50
-        records = [find_outliers(beta, n, digits) for n in ns]
-        path = outdir / "outlier_digits.csv"
-        lines = ["n,lambda_max"]
-        for r in records:
-            lines.append(f"{r.n},{decimal_str(r.large, digits + 1)}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    elif args.target == "table1":
-        ns_t = _parse_n_list(args.n) if args.n else list(TABLE1_ORDERS)
-        path = outdir / "table1.csv"
-        lines = ["n,k,first_component,reference,match"]
-        for n in ns_t:
-            trace = power_method_trace(n, 5)
-            for k in range(1, 6):
-                got = trace.first_components[k]
-                ref = first_component_reference(k, n)
-                lines.append(f"{n},{k},{got},{ref},{got == ref}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    elif args.target == "table2":
-        digits = args.digits or 12
-        path = outdir / "table2.csv"
-        path.write_text(beta1_table_csv(ns, target_digits=digits))
-        written.append(path)
-
-    sys.stdout.write("".join(f"wrote {p}\n" for p in written))
-    return 0
-
-
-_DISPATCH = {
-    "matrix": _cmd_matrix,
-    "charpoly": _cmd_charpoly,
-    "eigs": _cmd_eigs,
-    "cluster": _cmd_cluster,
-    "outliers": _cmd_outliers,
-    "singvals": _cmd_singvals,
-    "weyl": _cmd_weyl,
-    "beta1": _cmd_beta1,
-    "reproduce": _cmd_reproduce,
-}
+    if args.n is not None:
+        args.n = _parse_n_list(args.n)
+        if "order" in cmd.flags:
+            if len(args.n) != 1:
+                raise UsageError(f"{args.command} takes a single --n")
+            args.n = args.n[0]
+    if "beta" in cmd.flags:
+        try:
+            args.beta = BetaParam.parse(args.beta)
+        except BetaSpecError as exc:
+            raise UsageError(str(exc))
+        if cmd.beta_class not in (None, args.beta.beta_class):
+            raise UsageError(
+                f"command {args.command!r} requires beta of class {cmd.beta_class!r}, "
+                f"got {args.beta} (class {args.beta.beta_class})")
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "digits", None) is not None and args.digits < 1:
-            raise UsageError("--digits must be >= 1")
-        if getattr(args, "prec", 256) < 64:
-            raise UsageError("--prec must be >= 64 bits")
-        return _DISPATCH[args.command](args)
+        _validate(args)
+        text = COMMANDS[args.command].handler(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
@@ -369,6 +323,8 @@ def run(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 1
+    _emit(text, getattr(args, "out", None))
+    return 0
 
 
 def main() -> None:

@@ -50,10 +50,6 @@ class RefinementFailureError(BetaSpecError):
     """Newton refinement diverged or stalled before reaching its target."""
 
 
-class InconsistencyError(BetaSpecError):
-    """Computed quantities contradict a structural guarantee (solver failure)."""
-
-
 class SingularityError(BetaSpecError):
     """A quantity that is provably nonzero evaluated to zero."""
 

@@ -18,11 +18,10 @@ each holds exactly one zero) and of radius at most 10**-D (1 + |z|).
   certifies, the route logs why and the Aberth ladder runs instead.
 * The Ehrlich-Aberth ladder, for every other polynomial: simultaneous
   iteration (no deflation, so the unit-circle cluster stays coupled) from
-  degree-many points on the Cauchy-bound circle ``1 + max|c_k| / |c_d|``
-  with a fixed irrational angular offset; the first sweeps run in guarded
-  IEEE float64, after which the multiprecision ladder takes over.  Its d
-  disks come from one interval Horner pass for p and p' on the exact
-  coefficients.
+  degree-many points on the circles of the Newton polygon of log|c_k|;
+  the first sweeps run in guarded IEEE float64, after which the
+  multiprecision ladder takes over.  Its d disks come from one interval
+  Horner pass for p and p' on the exact coefficients.
 
 Identical inputs give identical digit strings: everything is sequential and
 deterministic.
@@ -52,8 +51,7 @@ from .errors import (
 )
 from .charpoly import PrecPoly, SparseForm, eval_sparse, sparse_form
 from .matrices import BetaParam
-from .numerics import QComplex, decimal_str, mpf_from, polyval, with_precision
-from .numerics import mpc_from  # noqa: F401  bench/spans.py counts conversions through it
+from .numerics import QComplex, decimal_str, mpc_from, mpf_from, polyval, with_precision
 
 log = logging.getLogger("betaspec")
 
@@ -122,33 +120,49 @@ def _sort_key(z, im_snap):
     return (arg, abs(z))
 
 
-def _circle_guesses(cs, d):
-    cmax = max(abs(c) for c in cs[:-1])
-    radius = 1 + cmax / abs(cs[-1])
-    offset = mp.sqrt(2)
-    return [radius * mp.expjpi(2 * mp.mpf(j) / d + offset / mp.pi)
-            for j in range(d)]
+def _polygon_starts(coeffs) -> list:
+    """Aberth starting points from the Newton polygon of k -> log|c_k| (Bini,
+    Numer. Algorithms 13, 1996): each edge (i, j) of the upper hull of the
+    points (k, log|c_k|) puts j - i points on the circle of radius
+    (|c_i| / |c_j|)**(1/(j - i)), where that many zeros lie, at angles
+    2 pi (m / (j - i) + i / d) + sqrt 2.  Zeros at t = 0 start on a circle
+    half as wide as the first.  The points are mpc at 53 bits, as a radius
+    may lie outside the float64 range.
+    """
+    d, hull = len(coeffs) - 1, []
+    with mp.workprec(53):
+        for k, c in enumerate(coeffs):
+            if not c:
+                continue
+            lk = float(mp.log(abs(mpc_from(c))))
+            while len(hull) > 1:  # drop hull points on or below the chord to (k, lk)
+                (i, li), (j, lj) = hull[-2:]
+                if (j - i) * (lk - li) < (lj - li) * (k - i):
+                    break
+                hull.pop()
+            hull.append((k, lk))
+        circles = [((li - lj) / (j - i), i, j - i) for (i, li), (j, lj) in zip(hull, hull[1:])]
+        if hull[0][0]:
+            circles.insert(0, (circles[0][0] - math.log(2) if circles else 0.0, 0, hull[0][0]))
+        return [mp.exp(mp.mpc(log_r, 2 * math.pi * (m / count + i / d) + math.sqrt(2)))
+                for log_r, i, count in circles for m in range(count)]
 
 
-def _float_warm_start(coeffs) -> list | None:
-    """Guarded float64 Aberth from the circle guesses; None if unusable."""
+def _float_warm_start(coeffs, starts) -> list | None:
+    """Guarded float64 Aberth from ``starts``; None if unusable."""
     try:
         c = np.array([_as_complex(x) for x in coeffs], dtype=np.complex128)
     except (OverflowError, TypeError, ValueError):
         return None
-    if not np.all(np.isfinite(c)):
+    z = np.array([complex(s) for s in starts])
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(z))):
         return None
     d = len(c) - 1
     if d < 2:
         return None
     crev = c[::-1]
     dcrev = (c[1:] * np.arange(1, d + 1))[::-1]
-    radius = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
-    if not np.isfinite(radius) or radius > 1e100:
-        return None
-    ang = 2 * np.pi * np.arange(d) / d + np.sqrt(2.0)
-    z = radius * np.exp(1j * ang)
-    cap = 8.0 * radius
+    cap = 8.0 * np.max(np.abs(z))
     for _ in range(FLOAT_WARMUP_SWEEPS):
         with np.errstate(all="ignore"):
             p = np.polyval(crev, z)
@@ -521,8 +535,9 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
         if rs is not None:
             return rs
 
-    seeds = _float_warm_start(poly.coeffs)
-    z = None
+    starts = _polygon_starts(poly.coeffs)
+    seeds = _float_warm_start(poly.coeffs, starts)
+    z = starts if seeds is None else [mp.mpc(s) for s in seeds]
     total_sweeps = 0
     for prec in PRECISION_LADDER:
         started = time.perf_counter()
@@ -530,8 +545,6 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
             cs = poly.coeffs_mp(real=False)
             hi = cs[::-1]
             dhi = [cs[k] * k for k in range(d, 0, -1)]
-            if z is None:
-                z = [mp.mpc(s) for s in seeds] if seeds is not None else _circle_guesses(cs, d)
             z, sweeps, ok = _aberth_level(hi, dhi, z, prec)
             rho, bounds = _dense_disks(poly, z, prec + 32)
             disjoint, min_gap = _disjoint(z, rho)

@@ -28,7 +28,6 @@ import mpmath as mp
 import numpy as np
 
 from .errors import (
-    InconsistencyError,
     InvalidOrderError,
     InvalidParameterError,
     RefinementFailureError,
@@ -142,10 +141,10 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     """Locate and refine the two outliers for beta in (1, 2).
 
     Newton refinement is seeded at the limits beta - 1 and 1/(beta - 1).
-    For n <= ``OUTLIER_VERIFY_MAX_ORDER`` a full moderate-precision solve
-    confirms the annulus-outlier count; more than two outliers raises
-    :class:`InconsistencyError`, since the theory allows at most two and a
-    third signals solver failure.
+    For n <= ``OUTLIER_VERIFY_MAX_ORDER`` a full certified solve confirms
+    that exactly two real positive eigenvalues lie off the annulus.  More
+    mean that the order is below the clustering onset: the diagnostic then
+    gives their count, and ``count_verified`` is false.
     """
     beta.require_class([REAL_GT1], "outlier tracking")
     b = beta.real_value
@@ -160,22 +159,20 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     large_limit = 1 / small_limit
 
     count_verified = False
+    diagnostics = []
     if n <= OUTLIER_VERIFY_MAX_ORDER:
         rs = eigenvalues(beta, n, DEFAULT_EIG_DIGITS)
         with with_precision(rs.precision_used):
             eps = mpf_from(annulus_eps)
             outs = [z for z in rs.roots if abs(abs(z) - 1) > eps]
-            if len(outs) > 2:
-                raise InconsistencyError(
-                    f"{len(outs)} annulus outliers found for beta={beta}, n={n} "
-                    f"at eps={annulus_eps}: at most two exist once the cluster "
-                    "has formed, so either this order is below the clustering "
-                    "onset for this beta or the solver failed")
             im_snap = mp.mpf(10) ** (-(rs.target_digits / 2))
             real_pos = [z for z in outs
                         if abs(z.imag) < im_snap * (1 + abs(z)) and z.real > 0]
-            if len(outs) == 2 and len(real_pos) == 2:
-                count_verified = True
+            count_verified = len(outs) == 2 and len(real_pos) == 2
+        if len(outs) > 2:
+            diagnostics.append(
+                f"{len(outs)} eigenvalues off the annulus at eps={annulus_eps} for "
+                f"n={n}: this order is below the clustering onset")
 
     def _try(seed, offset):
         try:
@@ -190,18 +187,17 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     small, err_small, prec_s = _try(small_limit, form.offset_small)
     large, err_large, prec_l = _try(large_limit, form.offset_large)
     precs = [p for p in (prec_s, prec_l) if p is not None]
-    diagnostic = None
     if small is None or large is None:
         missing = [name for name, v in (("small", small), ("large", large)) if v is None]
-        diagnostic = (f"outlier(s) {', '.join(missing)} not separated from the "
-                      f"annulus at eps={annulus_eps} for n={n}")
+        diagnostics.append(f"outlier(s) {', '.join(missing)} not separated from the "
+                           f"annulus at eps={annulus_eps} for n={n}")
     return OutlierRecord(
         n=n, beta=beta, annulus_eps=annulus_eps,
         small=small, large=large,
         err_small=err_small, err_large=err_large,
         target_digits=target_digits,
         count_verified=count_verified,
-        diagnostic=diagnostic,
+        diagnostic="; ".join(diagnostics) or None,
         precision_used=max(precs) if precs else None,
     )
 

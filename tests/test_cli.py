@@ -13,7 +13,7 @@ import pytest
 
 import betaspec
 from betaspec import BetaParam, charpoly_closed_form
-from betaspec.cli import build_parser, run
+from betaspec.cli import COMMANDS, FLAGS, build_parser, run
 from betaspec.spectra import eigenvalues
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
@@ -38,6 +38,11 @@ REFERENCE_OUTPUTS = (
     # the order the structured benchmark runs; pins the closed-form Gram block
     (("singvals", "--beta=4/3", "--n", "1600", "--digits", "30", "--out", "{out}/sv.csv"),
      "sv.csv", "705606948c39fce8bcdc65543d32714c71982f5df3942fb5837d9186902ec0e3"),
+    # eigenvalue and singular-value sums at the solver's defaults, 30 digits and 256 bits
+    (("weyl", "--beta=3", "--n", "40", "--kind", "both", "--out", "{out}/weyl.csv"),
+     "weyl.csv", "b5a281a40c75d2797ab064a40b15d1dc74ef8f70c43f519d3664cf5a7e3963b9"),
+    (("reproduce", "table1", "--out", "{out}"), "table1.csv",
+     "7d8d4628923bf7501715fc35ca77e03c8518301cdbf65b06cb351efea1c4e4d8"),
 )
 
 
@@ -129,7 +134,7 @@ def test_singvals(capsys):
 
 def test_weyl_schema_and_guard(capsys):
     code, out, _ = _run(capsys, "weyl", "--beta", "3", "--n", "20",
-                        "--digits", "20", "--kind", "singular")
+                        "--kind", "singular")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,f_id,kind,empirical,reference,gap"
@@ -179,6 +184,108 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         run(["reproduce", "fig1", "--format", "json"])
     assert exc.value.code == 2
+
+
+def _exit_code(argv) -> int:
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+BASE_ARGV = {
+    "matrix": ("matrix", "--beta=4/3", "--n", "3"),
+    "charpoly": ("charpoly", "--beta=4/3", "--n", "4"),
+    "eigs": ("eigs", "--beta=4/3", "--n", "10"),
+    "cluster": ("cluster", "--beta=4/3", "--n", "20"),
+    "outliers": ("outliers", "--beta=4/3", "--n", "60"),
+    "singvals": ("singvals", "--beta=4/3", "--n", "10"),
+    "weyl": ("weyl", "--beta=3", "--n", "10"),
+    "beta1": ("beta1", "--n", "10"),
+    "reproduce": ("reproduce", "fig3"),
+}
+
+# (command, flag, value1, value2, other flags): None leaves the flag out and
+# "" gives it alone; "{out}" is a fresh directory.  cluster --digits shows only
+# in the JSON, whose outside points it prints; the CSV holds counts.
+FLAG_CASES = [
+    ("matrix", "--digits", "5", "20", ()),
+    ("matrix", "--format", "csv", "json", ()),
+    ("matrix", "--out", None, "{out}/m.csv", ()),
+    ("matrix", "--exact", None, "", ()),
+    ("charpoly", "--digits", "5", "20", ()),
+    ("charpoly", "--format", "csv", "json", ()),
+    ("charpoly", "--out", None, "{out}/c.csv", ()),
+    ("charpoly", "--exact", None, "", ()),
+    ("eigs", "--digits", "10", "20", ()),
+    ("eigs", "--format", "csv", "json", ()),
+    ("eigs", "--out", None, "{out}/e.csv", ()),
+    ("cluster", "--digits", "10", "20", ("--format", "json")),
+    ("cluster", "--format", "csv", "json", ()),
+    ("cluster", "--out", None, "{out}/c.csv", ()),
+    ("cluster", "--eps", "0.01", "0.5", ()),
+    ("outliers", "--digits", "10", "20", ()),
+    ("outliers", "--format", "csv", "json", ()),
+    ("outliers", "--out", None, "{out}/o.csv", ()),
+    ("outliers", "--eps", "0.05", "0.9", ()),
+    ("singvals", "--digits", "10", "20", ()),
+    ("singvals", "--prec", "64", "256", ("--digits", "40")),
+    ("singvals", "--format", "csv", "json", ()),
+    ("singvals", "--out", None, "{out}/s.csv", ()),
+    ("weyl", "--format", "csv", "json", ()),
+    ("weyl", "--out", None, "{out}/w.csv", ()),
+    ("weyl", "--kind", "eigen", "singular", ()),
+    ("beta1", "--digits", "5", "10", ()),
+    ("beta1", "--format", "csv", "json", ()),
+    ("beta1", "--out", None, "{out}/b.csv", ()),
+    ("reproduce", "--n", "10", "20", ("--out", "{out}")),
+    ("reproduce", "--digits", "10", "20", ("--n", "10", "--out", "{out}")),
+    ("reproduce", "--out", "{out}/a", "{out}/b", ("--n", "10")),
+]
+
+
+def test_flag_cases_cover_every_optional_flag():
+    accepted = {(name, FLAGS[flag][0][0]) for name, cmd in COMMANDS.items()
+                for flag in cmd.flags
+                if FLAGS[flag][0][0].startswith("--") and not FLAGS[flag][1].get("required")}
+    cases = [case[:2] for case in FLAG_CASES]
+    assert sorted(accepted) == sorted(cases)
+
+
+@pytest.mark.parametrize("command,flag,first,second,other", FLAG_CASES,
+                         ids=[" ".join(case[:2]) for case in FLAG_CASES])
+def test_every_accepted_flag_changes_the_output(tmp_path, capsys, command, flag,
+                                                first, second, other):
+    outputs = []
+    for i, value in enumerate((first, second)):
+        out = tmp_path / str(i)
+        out.mkdir()
+        given = () if value is None else (flag,) if value == "" else (flag, value)
+        argv = [a.replace("{out}", str(out)) for a in BASE_ARGV[command] + other + given]
+        eigenvalues.cache_clear()
+        code, stdout, _ = _run(capsys, *argv)
+        assert code == 0
+        files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        outputs.append((stdout.replace(str(out), "{out}"), files))
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl", "--beta=3", "--n", "10", "--digits", "20"),
+    ("weyl", "--beta=3", "--n", "10", "--prec", "512"),
+    ("reproduce", "table1", "--digits", "3"),
+], ids=["weyl --digits", "weyl --prec", "reproduce table1 --digits"])
+def test_flags_the_output_ignores_are_refused(tmp_path, argv):
+    assert _exit_code([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "outliers"])
+@pytest.mark.parametrize("eps", ["0", "-1"])
+def test_eps_must_be_positive(capsys, command, eps):
+    code, out, err = _run(capsys, command, "--beta=4/3", "--n", "60", "--eps", eps)
+    assert code == 2 and out == ""
+    assert err == "usage error: --eps must be positive\n"
 
 
 def test_charpoly_exact_csv(capsys):
@@ -291,7 +398,7 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,name,digest", REFERENCE_OUTPUTS,
                          ids=["reproduce", "singvals", "outliers", "outliers-4096bit",
-                              "beta1", "singvals-n1600"])
+                              "beta1", "singvals-n1600", "weyl", "table1"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

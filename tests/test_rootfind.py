@@ -25,7 +25,7 @@ from betaspec import (
 )
 from betaspec import rootfind
 from betaspec.numerics import QComplex, decimal_str, fraction_from_mpf
-from betaspec.rootfind import _aberth_level, _circle_guesses, _sign_change, _solve_sparse
+from betaspec.rootfind import _aberth_level, _polygon_starts, _sign_change, _solve_sparse
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
 
@@ -297,9 +297,9 @@ def test_aberth_level_matches_mpmath_objects(beta_text, n):
         hi = cs[::-1]
         dhi = [cs[k] * k for k in range(n, 0, -1)]
         # two identical iterates exercise the dz == 0 nudge
-        seeds = _circle_guesses(cs, n)
+        seeds = [mp.mpc(s) for s in _polygon_starts(poly.coeffs)]
         seeds[1] = seeds[0]
-        # one sweep from the circle, where every bit of the repulsion sum
+        # one sweep from the starting circles, where every bit of the repulsion sum
         # reaches the iterates, then the whole level
         for max_sweeps in (1, 500):
             got = _aberth_level(hi, dhi, list(seeds), 256, max_sweeps=max_sweeps)

@@ -80,13 +80,14 @@ def test_find_outliers_rejects_wrong_class():
 
 
 def test_find_outliers_below_clustering_onset():
-    # beta close to 2 at a tiny order: many eigenvalues legitimately sit off
-    # the annulus, so the verified path flags the count...
-    from betaspec import InconsistencyError
-
+    # beta close to 2 at a tiny order: six of the eight eigenvalues
+    # legitimately sit off the annulus, so the verified path reports the count...
     beta = BetaParam.parse("39/20")
-    with pytest.raises(InconsistencyError):
-        find_outliers(beta, 8, 20)
+    rec = find_outliers(beta, 8, 20)
+    assert not rec.count_verified
+    assert rec.diagnostic.startswith(
+        "6 eigenvalues off the annulus at eps=0.05 for n=8: this order is below "
+        "the clustering onset")
     # ...and at 151, the first order above the verify cap of 150, the small
     # outlier is still in the annulus: it is reported absent with a diagnostic
     rec = find_outliers(beta, 151, 20)
