@@ -17,10 +17,9 @@ concurrent work in separate processes, not threads.)
 """
 from __future__ import annotations
 
-from contextlib import AbstractContextManager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, TypeVar
 
 import mpmath as mp
 from mpmath.libmp import fzero, mpc_add, mpc_mul, mpf_add, mpf_mul
@@ -32,32 +31,33 @@ ExactRational = Fraction
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 256
 
-T = TypeVar("T")
 
-
-def with_precision(bits: int, computation: Callable[[], T] | None = None):
-    """Run arithmetic at ``bits`` of working precision.
-
-    With only ``bits`` given, returns a context manager::
+def with_precision(bits: int):
+    """Context manager running mpmath arithmetic, real and interval
+    (``mp.iv``), at ``bits`` of working precision::
 
         with with_precision(256):
             ...
 
-    With a callable, runs it under that precision and returns its result.
-    All mpmath arithmetic inside is correctly rounded at >= ``bits``.
-
-    Raises :class:`PrecisionError` if ``bits`` is below 64.
+    Both precisions are restored on exit, also when an exception leaves the
+    block.  Raises :class:`PrecisionError` at the call if ``bits`` is below 64.
     """
     if bits < MIN_PRECISION_BITS:
         raise PrecisionError(
             f"working precision {bits} bits is below the minimum "
             f"{MIN_PRECISION_BITS}"
         )
-    ctx: AbstractContextManager = mp.workprec(bits)
-    if computation is None:
-        return ctx
-    with ctx:
-        return computation()
+    return _precision_scope(bits)
+
+
+@contextmanager
+def _precision_scope(bits: int):
+    saved, mp.iv.prec = mp.iv.prec, bits
+    try:
+        with mp.workprec(bits):
+            yield
+    finally:
+        mp.iv.prec = saved
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 This is the eigenvalue engine: the spectra of the matrix family are computed
 as roots of the closed-form characteristic polynomials.  :func:`solve_all`
-has two routes over the doubling precision ladder 256 -> 512 -> 1024 ->
-2048 bits and one acceptance rule: the first level whose inclusion disks,
-bounded in outward-rounded interval arithmetic, are pairwise disjoint (so
-each holds exactly one zero) and of radius at most 10**-D (1 + |z|).
+has two routes over the doubling precision ladder (:func:`_ladder`) and one
+acceptance rule: the first level whose inclusion disks, bounded in
+outward-rounded interval arithmetic, are pairwise disjoint (so each holds
+exactly one zero) and of radius at most 10**-D (1 + |z|).
 
 * The sparse route, for the closed-form p_n (``poly.beta`` set).  The n
   eigenvalues, the zeros of f = (1 - t)(1 - t/beta) p_n = a + t**n b other
@@ -21,14 +21,15 @@ each holds exactly one zero) and of radius at most 10**-D (1 + |z|).
   degree-many points on the circles of the Newton polygon of log|c_k|;
   the first sweeps run in guarded IEEE float64, after which the
   multiprecision ladder takes over.  Its d disks come from one interval
-  Horner pass for p and p' on the exact coefficients.
+  Horner pass for p and p' on the exact coefficients; for a real polynomial
+  a disk that meets the real axis is moved onto it if the disks still certify.
 
 Identical inputs give identical digit strings: everything is sequential and
 deterministic.
 
 Single real roots (the outliers) are refined by Newton iteration on the
 five-term sparse form of p_n as well, each certified by a sign change in
-interval arithmetic (:func:`refine_real_root_reported`).
+interval arithmetic (:func:`refine_real_root_reported`) on the same ladder.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from .numerics import QComplex, decimal_str, mpc_from, mpf_from, polyval, with_p
 
 log = logging.getLogger("betaspec")
 
-PRECISION_LADDER = (256, 512, 1024, 2048)
+PRECISION_LADDER = (256, 512, 1024, 2048, 4096, 8192)
 MAX_SWEEPS_PER_LEVEL = 500
 MAX_NEWTON_STEPS_PER_LEVEL = 200
 FLOAT_WARMUP_SWEEPS = 300
@@ -75,9 +76,9 @@ class RootSet:
     |p(roots[k])| / |leading coefficient|, from the same interval evaluation.
     ``precision_used`` is the first level that certified.
 
-    On the sparse route a root with imaginary part exactly 0 is certified
-    real, and ``iterations`` sums over levels the most Newton steps any root
-    took; on the Aberth ladder it counts sweeps.
+    For a real polynomial a root with imaginary part exactly 0 is certified
+    real.  On the sparse route ``iterations`` sums over levels the most
+    Newton steps any root took; on the Aberth ladder it counts sweeps.
     """
 
     roots: tuple
@@ -87,7 +88,6 @@ class RootSet:
     iterations: int
     target_digits: int
     beta: BetaParam | None = None
-    n: int | None = None
 
     @property
     def degree(self) -> int:
@@ -97,7 +97,7 @@ class RootSet:
         d = digits if digits is not None else self.target_digits
         payload = {
             "beta": str(self.beta) if self.beta is not None else None,
-            "n": self.n if self.n is not None else self.degree,
+            "n": self.degree,
             "precision_bits": self.precision_used,
             "roots": [
                 {
@@ -109,6 +109,15 @@ class RootSet:
             ],
         }
         return json.dumps(payload)
+
+
+def _ladder(target_bits: float) -> tuple:
+    """The levels of ``PRECISION_LADDER`` that a computation needing
+    ``target_bits`` climbs: up to three past the first level L with
+    L + 32 >= target_bits, or all of them if no level is that high."""
+    first = next((k for k, bits in enumerate(PRECISION_LADDER) if bits + 32 >= target_bits),
+                 len(PRECISION_LADDER))
+    return PRECISION_LADDER[:first + 4]
 
 
 def _sort_key(z, im_snap):
@@ -249,7 +258,7 @@ def _aberth_level(hi, dhi, z, prec, max_sweeps=MAX_SWEEPS_PER_LEVEL):
 
 def _iv_point(iv, z):
     """``z`` (exact rational, QComplex, mpf or mpc) as an ``mp.iv`` interval,
-    rounded outward at ``iv.prec``."""
+    rounded outward at ``iv.prec``, which :func:`with_precision` sets."""
     if isinstance(z, (Fraction, QComplex)):
         re, im = (z.re, z.im) if isinstance(z, QComplex) else (z, None)
         re = iv.mpf(re.numerator) / re.denominator
@@ -306,23 +315,33 @@ def _within(zeros, rho, target_digits: int) -> bool:
     return all(r <= tol * (1 + abs(z)) for z, r in zip(zeros, rho))
 
 
-def _dense_disks(poly: PrecPoly, roots: list, bits: int):
+def _dense_disks(poly: PrecPoly, roots: list):
     """The d inclusion disks of :func:`_iv_disks` at the Aberth iterates, from
-    one interval Horner pass for p and p' on the exact coefficients at
-    ``bits``; the residual bounds are on |p| / |c_d|."""
-    iv = mp.iv
-    saved, iv.prec = iv.prec, bits
-    try:
-        civ = [_iv_point(iv, c) for c in poly.coeffs]
+    one interval Horner pass for p and p' on the exact coefficients; the
+    residual bounds are on |p| / |c_d|."""
+    civ = [_iv_point(mp.iv, c) for c in poly.coeffs]
 
-        def horner(z):
-            p, dp = civ[-1], 0
-            for c in reversed(civ[:-1]):
-                p, dp = p * z + c, dp * z + p
-            return p, dp, civ[-1]
-        return _iv_disks(roots, poly.degree, horner)
-    finally:
-        iv.prec = saved
+    def horner(z):
+        p, dp = civ[-1], 0
+        for c in reversed(civ[:-1]):
+            p, dp = p * z + c, dp * z + p
+        return p, dp, civ[-1]
+    return _iv_disks(roots, poly.degree, horner)
+
+
+def _real_centres(poly: PrecPoly, z: list, rho: list, bounds: list, target_digits: int):
+    """The certified disks ``(z, rho, bounds)`` of a real polynomial, with each
+    centre whose disk meets the real axis moved to Re z and its disk
+    recomputed there, if all disks stay disjoint and within 10**-D (1 + |z|);
+    else as given.  A disk with a real centre is symmetric under conjugation,
+    so the one zero it holds is real."""
+    moved = [j for j, (x, r) in enumerate(zip(z, rho)) if x.imag and abs(x.imag) <= r]
+    z2, rho2, bounds2 = list(z), list(rho), list(bounds)
+    for j, r, b in zip(moved, *_dense_disks(poly, [mp.mpc(z[j].real) for j in moved])):
+        z2[j], rho2[j], bounds2[j] = mp.mpc(z[j].real), r, b
+    if moved and _disjoint(z2, rho2)[0] and _within(z2, rho2, target_digits):
+        return z2, rho2, bounds2
+    return z, rho, bounds
 
 
 def _root_set(poly, roots, residuals, radii, prec, iterations, target_digits) -> RootSet:
@@ -335,7 +354,7 @@ def _root_set(poly, roots, residuals, radii, prec, iterations, target_digits) ->
                    residuals=tuple(residuals[j] for j in order),
                    radii=tuple(radii[j] for j in order),
                    precision_used=prec, iterations=iterations,
-                   target_digits=target_digits, beta=poly.beta, n=poly.degree)
+                   target_digits=target_digits, beta=poly.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +423,27 @@ def _phase_seeds(form: SparseForm) -> list:
     return seeds
 
 
-def _newton(cs, n: int, t, tol):
+def _newton(cs, n: int, t, tol, x=None):
     """Newton on f = a + t**n b from ``t`` until the step is at most
-    tol (1 + |t|).  Returns (root, steps, settled)."""
+    tol (1 + |t|); given x = 1/beta, Newton on p_n = f / ((1 - t)(1 - x t)),
+    with the spurious zeros 1 and beta divided out of the step.  Returns
+    (root, steps, settled); a step that meets a pole or a vanishing
+    derivative does not settle."""
     for steps in range(1, MAX_NEWTON_STEPS_PER_LEVEL + 1):
         f, df = eval_sparse(cs, n, t)
         if f == 0:
             return t, steps, True
-        if df == 0:
+        try:
+            step = f / df if x is None else 1 / (df / f + 1 / (1 - t) + x / (1 - x * t))
+        except ZeroDivisionError:
             return t, steps, False
-        step = f / df
         t = t - step
         if abs(step) <= tol * (1 + abs(t)):
             return t, steps, True
     return t, MAX_NEWTON_STEPS_PER_LEVEL, False
 
 
-def _inclusion_disks(form: SparseForm, roots: list, bits: int):
+def _inclusion_disks(form: SparseForm, roots: list):
     """Certify the iterates of the sparse route as the n zeros of p_n.
 
     ``roots`` are the iterates of :func:`_phase_seeds`' seeds; for real beta
@@ -442,15 +465,10 @@ def _inclusion_disks(form: SparseForm, roots: list, bits: int):
     zeros = list(roots)
     if form.is_real:
         zeros += [mp.conj(z) for z in roots if isinstance(z, mp.mpc)]
-    iv = mp.iv
-    saved, iv.prec = iv.prec, bits
-    try:
-        civ = [_iv_point(iv, c) for c in form.coeffs]
-        xiv = _iv_point(iv, form.x)
-        rho, bounds = _iv_disks(roots, n + 2, lambda z: (
-            *eval_sparse(civ, n, z), (1 - z) * (1 - xiv * z)))
-    finally:
-        iv.prec = saved
+    civ = [_iv_point(mp.iv, c) for c in form.coeffs]
+    xiv = _iv_point(mp.iv, form.x)
+    rho, bounds = _iv_disks(roots, n + 2, lambda z: (
+        *eval_sparse(civ, n, z), (1 - z) * (1 - xiv * z)))
     if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
         rho += [x for x, z in zip(rho, roots) if isinstance(z, mp.mpc)]
         bounds += [x for x, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
@@ -474,8 +492,8 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     """The sparse route of :func:`solve_all` for closed-form p_n.
 
     Newton on f = (1 - t)(1 - t/beta) p_n = a + t**n b polishes the seeds of
-    :func:`_phase_seeds` at each level of ``PRECISION_LADDER``, O(log n)
-    operations per step.  The first level is accepted at which Newton has
+    :func:`_phase_seeds` at each level of the ladder, O(log n) operations
+    per step.  The first level is accepted at which Newton has
     settled, the n disks of :func:`_inclusion_disks` are disjoint and clear
     of 1 and beta, and every radius is at most 10**-D (1 + |z|); the disks'
     bounds on |p_n| are its residuals.  Returns None, with one DEBUG record
@@ -489,7 +507,7 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     if count != d:
         return _refuse(d, f"seeds={count} zeros={d}")
     iterations = 0
-    for prec in PRECISION_LADDER:
+    for prec in _ladder(target_digits * math.log2(10)):
         started = time.perf_counter()
         with with_precision(prec + 32):
             cs = form.coeffs_mp()
@@ -498,7 +516,7 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
             steps, settled = max(steps), all(settled)
             zeros = rho = min_gap = None
             if settled:
-                zeros, rho, bounds, min_gap = _inclusion_disks(form, z, prec + 32)
+                zeros, rho, bounds, min_gap = _inclusion_disks(form, z)
             certified = zeros is not None and _within(zeros, rho, target_digits)
         iterations += steps
         log.debug("solve_all sparse degree=%d level: bits=%d newton_steps=%d "
@@ -539,16 +557,19 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     seeds = _float_warm_start(poly.coeffs, starts)
     z = starts if seeds is None else [mp.mpc(s) for s in seeds]
     total_sweeps = 0
-    for prec in PRECISION_LADDER:
+    ladder = _ladder(target_digits * math.log2(10))
+    for prec in ladder:
         started = time.perf_counter()
         with with_precision(prec + 32):
             cs = poly.coeffs_mp(real=False)
             hi = cs[::-1]
             dhi = [cs[k] * k for k in range(d, 0, -1)]
             z, sweeps, ok = _aberth_level(hi, dhi, z, prec)
-            rho, bounds = _dense_disks(poly, z, prec + 32)
+            rho, bounds = _dense_disks(poly, z)
             disjoint, min_gap = _disjoint(z, rho)
             certified = ok and disjoint and _within(z, rho, target_digits)
+            if certified and poly.is_real:
+                z, rho, bounds = _real_centres(poly, z, rho, bounds, target_digits)
         total_sweeps += sweeps
         log.debug("solve_all degree=%d level: bits=%d sweeps=%d converged=%s "
                   "certified=%s %s seconds=%.6f", d, prec, sweeps, ok, certified,
@@ -557,7 +578,7 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
             return _root_set(poly, z, bounds, rho, prec, total_sweeps, target_digits)
     raise ConvergenceFailureError(
         f"root iteration did not certify {target_digits} digits within the "
-        f"precision ladder {PRECISION_LADDER}; last level: bits={prec} "
+        f"precision ladder {ladder}; last level: bits={prec} "
         f"{_disk_fields(rho, min_gap)}", best=z)
 
 
@@ -567,9 +588,6 @@ def _as_complex(c):
     if isinstance(c, Fraction):
         return complex(float(c))
     return complex(c)
-
-
-REFINE_LADDER = (256, 512, 1024, 2048, 4096, 8192)
 
 
 def refine_real_root_reported(form: SparseForm, seed,
@@ -583,13 +601,14 @@ def refine_real_root_reported(form: SparseForm, seed,
     settled and f changes sign across [root - u, root + u], with
     u = 10**-(target_digits + 2) |root| / n, in outward-rounded interval
     arithmetic: that bracket holds a zero of p_n, narrow enough to fix the
-    printed root and its offsets to the limits.  Returns ``(root, bits)``,
-    the mpf iterate and the level that certified it.
+    printed root and its offsets to the limits.  The ladder's target is the
+    bracket's (target_digits + 2) log2 10 + log2 n bits.  Returns
+    ``(root, bits)``, the mpf iterate and the level that certified it.
 
     A seed outside the basin raises :class:`RefinementFailureError` at the
     first level where Newton does not settle (or where the step meets t = 1,
     t = beta or a vanishing derivative); a root that settles but whose
-    bracket no level of ``REFINE_LADDER`` can certify raises
+    bracket no level of the ladder can certify raises
     :class:`ConvergenceFailureError` with the last iterate in ``best``.
     """
     if target_digits < 1:
@@ -597,70 +616,45 @@ def refine_real_root_reported(form: SparseForm, seed,
     if not form.is_real:
         raise InvalidParameterError("real-root refinement requires real coefficients")
     n = form.n
-    if n == 1:
-        prec = max(256, 4 * target_digits)
-        with with_precision(prec):
-            return mpf_from(form.x - 1), prec
-
     best = None
-    for prec in REFINE_LADDER:
+    ladder = _ladder((target_digits + 2) * math.log2(10) + math.log2(n))
+    for prec in ladder:
         started = time.perf_counter()
         with with_precision(prec + 32):
             cs = form.coeffs_mp()
             x = mpf_from(form.x)
             t = +best if best is not None else mpf_from(_to_real_seed(seed))
-            step_tol = mp.mpf(2) ** (-(prec - 24))
-            settled = False
-            steps = 0
-            for steps in range(1, MAX_NEWTON_STEPS_PER_LEVEL + 1):
-                f, df = eval_sparse(cs, n, t)
-                if f == 0:
-                    settled = True
-                    break
-                try:
-                    step = 1 / (df / f + 1 / (1 - t) + x / (1 - x * t))
-                except ZeroDivisionError:
-                    raise RefinementFailureError(
-                        "Newton step met t = 1, t = beta or a vanishing derivative "
-                        "(seed outside basin?)") from None
-                t = t - step
-                if abs(step) <= step_tol * (1 + abs(t)):
-                    settled = True
-                    break
+            tol = mp.mpf(2) ** (-(prec - 32))
+            t, steps, settled = _newton(cs, n, t, tol, x)
             u = mp.mpf(10) ** (-(target_digits + 2)) * abs(t) / n
-            certified = settled and _sign_change(form, t, u, prec + 32)
+            certified = settled and _sign_change(form, t, u)
             log.debug("refine degree=%d level: bits=%d newton_steps=%d settled=%s "
                       "bracket=%s seconds=%.6f", n, prec, steps, settled,
                       mp.nstr(u, 3), time.perf_counter() - started)
         if not settled:
             raise RefinementFailureError(
-                f"Newton iteration did not settle within {MAX_NEWTON_STEPS_PER_LEVEL} "
-                f"steps at {prec} bits (seed outside basin?)")
+                f"Newton iteration did not settle at {prec} bits (seed outside basin?)")
         if certified:
             return t, prec
         best = t
     raise ConvergenceFailureError(
         f"Newton refinement did not certify {target_digits} digits within "
-        f"the precision ladder {REFINE_LADDER}", best=best)
+        f"the precision ladder {ladder}", best=best)
 
 
-def _sign_change(form: SparseForm, t, u, bits: int) -> bool:
+def _sign_change(form: SparseForm, t, u) -> bool:
     """True iff f has opposite strict signs at t - u and t + u, evaluated in
-    outward-rounded interval arithmetic at ``bits``, and neither spurious
-    zero 1 nor beta lies in between."""
+    outward-rounded interval arithmetic, and neither spurious zero 1 nor
+    beta lies in between."""
     lo, hi = t - u, t + u
     beta = form.beta.real_value
     iv = mp.iv
-    saved, iv.prec = iv.prec, bits
-    try:
-        for z in (iv.mpf(1), iv.mpf(beta.numerator) / beta.denominator):
-            if not (z.b < lo or z.a > hi):
-                return False
-        civ = [iv.mpf(c.numerator) / c.denominator for c in form.coeffs]
-        f_lo = eval_sparse(civ, form.n, iv.mpf(lo))[0]
-        f_hi = eval_sparse(civ, form.n, iv.mpf(hi))[0]
-    finally:
-        iv.prec = saved
+    for z in (iv.mpf(1), iv.mpf(beta.numerator) / beta.denominator):
+        if not (z.b < lo or z.a > hi):
+            return False
+    civ = [iv.mpf(c.numerator) / c.denominator for c in form.coeffs]
+    f_lo = eval_sparse(civ, form.n, iv.mpf(lo))[0]
+    f_hi = eval_sparse(civ, form.n, iv.mpf(hi))[0]
     return (f_lo.b < 0 < f_hi.a) or (f_hi.b < 0 < f_lo.a)
 
 

@@ -102,7 +102,7 @@ def cluster_count(roots: RootSet, epsilon: float) -> ClusterReport:
         inside_count=roots.degree - len(outside),
         outside_count=len(outside),
         outside_points=outside,
-        n=roots.n if roots.n is not None else roots.degree,
+        n=roots.degree,
         beta=roots.beta,
     )
 
@@ -153,6 +153,8 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
             f"outlier tracking requires beta in (1, 2), got {b}")
     if n < 2:
         raise InvalidOrderError("outlier tracking requires n >= 2")
+    if annulus_eps <= 0:
+        raise InvalidParameterError("epsilon must be positive")
 
     form = sparse_form(beta, n)
     small_limit = b - 1
@@ -162,9 +164,8 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     diagnostics = []
     if n <= OUTLIER_VERIFY_MAX_ORDER:
         rs = eigenvalues(beta, n, DEFAULT_EIG_DIGITS)
+        outs = cluster_count(rs, annulus_eps).outside_points
         with with_precision(rs.precision_used):
-            eps = mpf_from(annulus_eps)
-            outs = [z for z in rs.roots if abs(abs(z) - 1) > eps]
             im_snap = mp.mpf(10) ** (-(rs.target_digits / 2))
             real_pos = [z for z in outs
                         if abs(z.imag) < im_snap * (1 + abs(z)) and z.real > 0]

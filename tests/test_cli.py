@@ -296,11 +296,32 @@ def test_charpoly_exact_csv(capsys):
 
 def test_outliers_ladder_exhaustion_exits_1(monkeypatch, capsys):
     # a 200-digit certificate needs about 680 bits, more than 512
-    monkeypatch.setattr("betaspec.rootfind.REFINE_LADDER", (256, 512))
+    monkeypatch.setattr("betaspec.rootfind.PRECISION_LADDER", (256, 512))
     code, out, err = _run(capsys, "outliers", "--beta=9/8", "--n", "200",
                           "--digits", "200")
     assert code == 1
     assert out == ""
+    assert json.loads(err)["error"] == "ConvergenceFailureError"
+
+
+def test_eigs_certifies_700_digits_above_2048_bits(capsys):
+    # 700 digits need about 2326 bits: the ladder climbs to 4096
+    code, out, _ = _run(capsys, "eigs", "--beta=4/3", "--n", "10", "--digits", "700",
+                        "--format", "json")
+    assert code == 0
+    rs = eigenvalues(BetaParam.parse("4/3"), 10, 700)
+    assert json.loads(out)["precision_bits"] == rs.precision_used == 4096
+    with mp.workprec(rs.precision_used + 32):
+        tol = mp.mpf(10) ** -700
+        assert all(r <= tol * (1 + abs(z)) for z, r in zip(rs.roots, rs.radii))
+
+
+@pytest.mark.parametrize("command", ["eigs", "outliers"])
+def test_digits_beyond_the_ladder_top_exit_1(capsys, command):
+    # 2500 digits need about 8305 bits, more than the 8192-bit top level
+    code, out, err = _run(capsys, command, "--beta=4/3", "--n", "10", "--digits", "2500")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert json.loads(err)["error"] == "ConvergenceFailureError"
 
 

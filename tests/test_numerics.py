@@ -22,17 +22,31 @@ def test_min_precision_enforced():
     with pytest.raises(PrecisionError):
         with_precision(32)
     with pytest.raises(PrecisionError):
-        with_precision(63, lambda: None)
+        with_precision(63)
+
+
+def test_with_precision_scopes_and_restores_both_precisions():
+    saved = (mp.mp.prec, mp.iv.prec)
+    with with_precision(300):
+        assert (mp.mp.prec, mp.iv.prec) == (300, 300)
+    assert (mp.mp.prec, mp.iv.prec) == saved
+    with pytest.raises(ZeroDivisionError):
+        with with_precision(400):
+            assert mp.iv.prec == 400
+            1 / 0
+    assert (mp.mp.prec, mp.iv.prec) == saved
 
 
 def test_third_at_64_bits():
-    x = with_precision(64, lambda: mp.mpf(1) / 3)
+    with with_precision(64):
+        x = mp.mpf(1) / 3
     err = abs(fraction_from_mpf(x) - Fraction(1, 3))
     assert err <= Fraction(1, 2 ** 62)
 
 
 def test_four_thirds_minus_one_at_256_bits():
-    x = with_precision(256, lambda: mp.mpf(4) / 3 - 1)
+    with with_precision(256):
+        x = mp.mpf(4) / 3 - 1
     err = abs(fraction_from_mpf(x) - Fraction(1, 3))
     assert err <= Fraction(1, 2 ** 254)
 
@@ -51,7 +65,8 @@ def test_geometric_sum_matches_exact_oracle():
             total += p
         return total
 
-    x = with_precision(256, compute)
+    with with_precision(256):
+        x = compute()
     assert abs(fraction_from_mpf(x) - exact) <= Fraction(1, 2 ** 200)
 
 
@@ -75,8 +90,10 @@ def test_doubling_precision_never_hurts(num, den, terms):
             p = p * (-b)
         return total
 
-    d1 = abs(fraction_from_mpf(with_precision(128, sum_at)) - exact)
-    d2 = abs(fraction_from_mpf(with_precision(256, sum_at)) - exact)
+    with with_precision(128):
+        d1 = abs(fraction_from_mpf(sum_at()) - exact)
+    with with_precision(256):
+        d2 = abs(fraction_from_mpf(sum_at()) - exact)
     assert d2 <= d1
 
 

@@ -24,7 +24,7 @@ from betaspec import (
     sparse_form,
 )
 from betaspec import rootfind
-from betaspec.numerics import QComplex, decimal_str, fraction_from_mpf
+from betaspec.numerics import QComplex, decimal_str, fraction_from_mpf, with_precision
 from betaspec.rootfind import _aberth_level, _polygon_starts, _sign_change, _solve_sparse
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
@@ -174,19 +174,27 @@ def test_refine_near_interior_limit():
 
 
 def test_refine_degree_one_exact():
-    beta = BetaParam.parse("2")
-    assert refine_real_root_reported(sparse_form(beta, 1), 100.0, 30)[0] == mp.mpf(-0.5)
+    # p_1(t) = t - (1/beta - 1): Newton lands on a dyadic zero exactly, and
+    # on any other within the certified bracket 10**-32 |zero|
+    for beta_text in ("2", "-2", "4/3", "1/3", "3", "3/2"):
+        beta = BetaParam.parse(beta_text)
+        root = fraction_from_mpf(refine_real_root_reported(sparse_form(beta, 1), 100.0, 30)[0])
+        zero = 1 / beta.real_value - 1
+        if zero.denominator & (zero.denominator - 1) == 0:
+            assert root == zero
+        else:
+            assert abs(root - zero) <= abs(zero) / 10 ** 32
 
 
 def test_sign_change_certificate_brackets_only_a_root():
     form = sparse_form(BetaParam.parse("4/3"), 50)
     root, bits = refine_real_root_reported(form, 3.0, 50)
-    with mp.workprec(bits + 32):
+    with with_precision(bits + 32):
         u = mp.mpf(10) ** -52 * root / 50
-        assert _sign_change(form, root, u, bits + 32)
-        assert not _sign_change(form, root + 3 * u, u, bits + 32)
+        assert _sign_change(form, root, u)
+        assert not _sign_change(form, root + 3 * u, u)
         # the spurious zero t = beta of (1 - t)(1 - t/beta) p_n is no root of p_n
-        assert not _sign_change(form, mp.mpf(4) / 3, u, bits + 32)
+        assert not _sign_change(form, mp.mpf(4) / 3, u)
 
 
 # beta close to 2 at a tiny order: Newton from 19/20 cycles instead of
@@ -497,9 +505,26 @@ def test_sparse_route_refuses_a_perturbed_root(monkeypatch, caplog):
     assert len(fallback) == 2 and all("no level certified" in m for m in fallback)
     radii = [mp.mpf(m.split("max_radius=")[1].split()[0])
              for m in messages if m.startswith("solve_all sparse degree=")]
-    assert len(radii) == 2 * len(rootfind.PRECISION_LADDER)
+    assert len(radii) == 2 * 4  # 256 -> 2048 bits for 30 digits
     assert all(mp.mpf(10) ** -25 < r < mp.mpf(10) ** -22 for r in radii)
     assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in ref.roots]
+
+
+@pytest.mark.parametrize("beta_text,n", [("1/2", 20), ("1/2", 40), ("-1/2", 30), ("9/10", 60)])
+def test_aberth_real_roots_print_imaginary_part_zero(beta_text, n):
+    # these spectra take the Aberth ladder; a disk there that meets the real
+    # axis is moved onto it, so a real eigenvalue prints im 0.0, not noise
+    poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
+    rs = solve_all(poly, 30)
+    _assert_disks(rs)
+    rows = json.loads(rs.as_json())["roots"]
+    assert not any(0 < abs(float(row["im"])) < 1e-100 for row in rows)
+    real = [z for z in rs.roots if z.imag == 0]
+    assert real
+    for z in real:
+        x = fraction_from_mpf(z.real)
+        u = Fraction(1, 10 ** 25) * (1 + abs(x))
+        assert poly.eval_exact(x - u) * poly.eval_exact(x + u) < 0
 
 
 @pytest.mark.parametrize("beta_text", ["5", "3", "4/3"])

@@ -79,6 +79,14 @@ def test_find_outliers_rejects_wrong_class():
         find_outliers(BetaParam.parse("1"), 50, 30)
 
 
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("eps", [0, -1])
+def test_find_outliers_rejects_nonpositive_eps(n, eps):
+    # at every order, with or without the verifying solve (n <= 150)
+    with pytest.raises(InvalidParameterError):
+        find_outliers(BetaParam.parse("4/3"), n, 30, annulus_eps=eps)
+
+
 def test_find_outliers_below_clustering_onset():
     # beta close to 2 at a tiny order: six of the eight eigenvalues
     # legitimately sit off the annulus, so the verified path reports the count...
@@ -102,7 +110,7 @@ def test_find_outliers_ladder_exhaustion_raises(monkeypatch):
     # outlier missing from the report
     from betaspec import ConvergenceFailureError
 
-    monkeypatch.setattr("betaspec.rootfind.REFINE_LADDER", (256, 512))
+    monkeypatch.setattr("betaspec.rootfind.PRECISION_LADDER", (256, 512))
     with pytest.raises(ConvergenceFailureError) as exc:
         find_outliers(BetaParam.parse("9/8"), 200, 200)
     assert exc.value.best is not None
