@@ -40,6 +40,7 @@ from .numerics import (
     DEFAULT_PRECISION_BITS,
     QComplex,
     decimal_str,
+    iv_from,
     mpc_from,
     mpf_from,
     polyval,
@@ -196,6 +197,41 @@ class SparseForm:
             self.a[0], self.a[1], x ** (self.n + 2) / (1 - x), x, self.beta.real_value))
         return (-(a0 + a1 * t) / t ** self.n - d * (t - 1)) / (xv * (t - beta))
 
+    def zeros_inside(self, rho: Fraction) -> int | None:
+        """The number of eigenvalues in |t| < rho, for real beta > 1, by
+        Rouché's theorem on f = a + t**n b; None if neither term is proved
+        to dominate on |t| = rho.
+
+        On t = rho e^{i theta}, g = |a|**2 - rho**(2n) |b|**2 = q c**2 + l c + k
+        in c = cos theta, concave as q = -4 rho**(2n+2) b0 b2 < 0; its values
+        g(+-1) at t = +-rho give l and k.  Positive at c = +-1, a dominates:
+        f has a's zero beta - 1 inside if beta - 1 < rho.  Negative there and
+        at the vertex c = -l/2q, t**n b dominates: f has n zeros at 0 plus
+        b's, which Rouché on b = x (t - beta)(t - S_n) + x**(n+1) counts as
+        beta and S_n if |rho - beta| |rho - S_n| > x**n.  The spurious zeros
+        1 and beta are subtracted.  Every sign is strict on the ends of
+        64-bit outward-rounded ``mp.iv`` intervals, so a zero of f on the
+        circle gives None.
+        """
+        self.beta.require_class([REAL_GT1], "the Rouché count")
+        beta, n = self.beta.real_value, self.n
+        s = -(1 + self.b[1]) / self.x  # S_n
+        with with_precision(64):
+            a0, a1, b0, b1, b2, r = map(iv_from, (*self.coeffs, Fraction(rho)))
+            rn, a1r, b1r, b2r2 = r ** n, a1 * r, b1 * r, b2 * r * r
+            g1, g2 = ((a0 + ar) ** 2 - (rn * (b0 + br + b2r2)) ** 2
+                      for ar, br in ((a1r, b1r), (-a1r, -b1r)))
+            if g1.a > 0 and g2.a > 0:
+                return (beta - 1 < rho) - (1 < rho) - (beta < rho)
+            q = -4 * rn * rn * b0 * b2r2
+            l, k = (g1 - g2) / 2, (g1 + g2) / 2 - q
+            vertex = -l / (2 * q)
+            peak = k - l * l / (4 * q) if vertex.b > -1 and vertex.a < 1 else g1
+            if not (g1.b < 0 and g2.b < 0 and peak.b < 0
+                    and (abs(r - iv_from(beta)) * abs(r - iv_from(s))).a > (b2 ** n).b):  # b2 = x
+                return None
+        return n + (s < rho) - (1 < rho)
+
 
 def sparse_form(beta: BetaParam, n: int) -> SparseForm:
     """The :class:`SparseForm` of p_n in O(log n) exact operations (one power of x)."""
@@ -228,18 +264,10 @@ def split_qr(beta: BetaParam, n: int) -> tuple[PrecPoly, PrecPoly]:
     q_n has all coefficients 1 up to degree n; r_n has degree n-1 with
     coefficient of t**m equal to the prefix sum beta**-1 + ... + beta**-(m+1).
     """
-    if n < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {n}")
-    inv_powers = beta.inverse_powers(n)
-    one = inv_powers[0] * 0 + 1
-    q = PrecPoly(coeffs=tuple([one] * (n + 1)))
-    rc = []
-    s = inv_powers[0] * 0
-    for m in range(n):
-        s = s + inv_powers[m]
-        rc.append(s)
-    r = PrecPoly(coeffs=tuple(rc))
-    return q, r
+    p = charpoly_closed_form(beta, n)
+    one = p.leading_coeff
+    return (PrecPoly(coeffs=(one,) * (n + 1)),
+            PrecPoly(coeffs=tuple(one - c for c in p.coeffs[:-1])))
 
 
 def reverse_poly(poly: PrecPoly) -> PrecPoly:

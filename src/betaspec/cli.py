@@ -252,7 +252,9 @@ COMMANDS = {
                        "CSV columns: n,beta,epsilon,inside_count,outside_count.", REAL_GT1),
     "outliers": Command(_outliers, ("beta", "orders", *_OUTPUT, "eps"),
                         "outlier tracking for beta in (1,2)",
-                        "CSV columns: n,large,small,err_large,err_small.", REAL_GT1),
+                        "CSV columns: n,large,small,err_large,err_small. JSON adds "
+                        "count_verified (one eigenvalue inside and one beyond the annulus, "
+                        "proved by Rouché's theorem) and diagnostic.", REAL_GT1),
     "singvals": Command(_singvals, ("beta", "order", "digits", "prec", "format", "out"),
                         "singular values, sorted nonincreasing",
                         "CSV: one singular value per line."),

@@ -216,6 +216,19 @@ def mpc_from(x) -> mp.mpc:
     return mp.mpc(mpf_from(x))
 
 
+def iv_from(z):
+    """``z`` (exact rational, QComplex, mpf or mpc) as an ``mp.iv`` interval,
+    rounded outward at ``mp.iv.prec``, which :func:`with_precision` sets."""
+    iv = mp.iv
+    if isinstance(z, (Fraction, QComplex)):
+        re, im = (z.re, z.im) if isinstance(z, QComplex) else (z, None)
+        re = iv.mpf(re.numerator) / re.denominator
+        return re if im is None else iv.mpc(re, iv.mpf(im.numerator) / im.denominator)
+    if isinstance(z, mp.mpc):
+        return iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
+    return iv.mpf(z)
+
+
 def polyval(hi, x):
     """Value at ``x`` of the polynomial with coefficients ``hi``, highest
     degree first, at the ambient precision.

@@ -15,7 +15,8 @@ exactly one zero) and of radius at most 10**-D (1 + |z|).
   real beta, on the closed upper half-plane only).  Their n disks, f's own,
   must also exclude the points 1 and beta; a real eigenvalue is returned
   with imaginary part exactly 0.  If the seeds are not n or no level
-  certifies, the route logs why and the Aberth ladder runs instead.
+  certifies, the route logs why and the Aberth ladder runs instead (a
+  target beyond the ladder's top raises at once).
 * The Ehrlich-Aberth ladder, for every other polynomial: simultaneous
   iteration (no deflation, so the unit-circle cluster stays coupled) from
   degree-many points on the circles of the Newton polygon of log|c_k|;
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .charpoly import PrecPoly, SparseForm, eval_sparse, sparse_form
 from .matrices import BetaParam
-from .numerics import QComplex, decimal_str, mpc_from, mpf_from, polyval, with_precision
+from .numerics import QComplex, decimal_str, iv_from, mpc_from, mpf_from, polyval, with_precision
 
 log = logging.getLogger("betaspec")
 
@@ -256,18 +257,6 @@ def _aberth_level(hi, dhi, z, prec, max_sweeps=MAX_SWEEPS_PER_LEVEL):
     return [mp.make_mpc(t) for t in zt], sweeps, all(converged)
 
 
-def _iv_point(iv, z):
-    """``z`` (exact rational, QComplex, mpf or mpc) as an ``mp.iv`` interval,
-    rounded outward at ``iv.prec``, which :func:`with_precision` sets."""
-    if isinstance(z, (Fraction, QComplex)):
-        re, im = (z.re, z.im) if isinstance(z, QComplex) else (z, None)
-        re = iv.mpf(re.numerator) / re.denominator
-        return re if im is None else iv.mpc(re, iv.mpf(im.numerator) / im.denominator)
-    if isinstance(z, mp.mpc):
-        return iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
-    return iv.mpf(z)
-
-
 def _upper(x) -> mp.mpf:
     """The upper end of an ``mp.iv`` interval, as an mpf."""
     return mp.make_mpf(x._mpi_[1])
@@ -284,7 +273,7 @@ def _iv_disks(roots, count: int, evaluate):
     """
     rho, bounds = [], []
     for z in roots:
-        f, df, div = (abs(v) for v in evaluate(_iv_point(mp.iv, z)))
+        f, df, div = (abs(v) for v in evaluate(iv_from(z)))
         rho.append(_upper(count * f / df) if df.a > 0 else mp.inf)
         bounds.append(_upper(f / div) if div.a > 0 else mp.inf)
     return rho, bounds
@@ -319,7 +308,7 @@ def _dense_disks(poly: PrecPoly, roots: list):
     """The d inclusion disks of :func:`_iv_disks` at the Aberth iterates, from
     one interval Horner pass for p and p' on the exact coefficients; the
     residual bounds are on |p| / |c_d|."""
-    civ = [_iv_point(mp.iv, c) for c in poly.coeffs]
+    civ = [iv_from(c) for c in poly.coeffs]
 
     def horner(z):
         p, dp = civ[-1], 0
@@ -465,8 +454,8 @@ def _inclusion_disks(form: SparseForm, roots: list):
     zeros = list(roots)
     if form.is_real:
         zeros += [mp.conj(z) for z in roots if isinstance(z, mp.mpc)]
-    civ = [_iv_point(mp.iv, c) for c in form.coeffs]
-    xiv = _iv_point(mp.iv, form.x)
+    civ = [iv_from(c) for c in form.coeffs]
+    xiv = iv_from(form.x)
     rho, bounds = _iv_disks(roots, n + 2, lambda z: (
         *eval_sparse(civ, n, z), (1 - z) * (1 - xiv * z)))
     if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
@@ -488,6 +477,14 @@ def _disk_fields(rho, min_gap) -> str:
             f"min_gap={'-' if min_gap is None else f'{min_gap:.3g}'}")
 
 
+def _ladder_exhausted(target_digits: int, ladder: tuple, rho, min_gap, best):
+    """The error of a ladder that ran out, ending with its top level's disks."""
+    return ConvergenceFailureError(
+        f"root iteration did not certify {target_digits} digits within the "
+        f"precision ladder {ladder}; last level: bits={ladder[-1]} "
+        f"{_disk_fields(rho, min_gap)}", best=best)
+
+
 def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     """The sparse route of :func:`solve_all` for closed-form p_n.
 
@@ -498,7 +495,9 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     of 1 and beta, and every radius is at most 10**-D (1 + |z|); the disks'
     bounds on |p_n| are its residuals.  Returns None, with one DEBUG record
     saying why, when the seeds are not n, when Newton does not settle, when
-    the disks overlap, or when no level certifies.
+    the disks overlap, or when no level certifies; if the target lies beyond
+    the ladder's top, which the Aberth ladder cannot reach either, it raises
+    :class:`ConvergenceFailureError` with the last iterates instead.
     """
     d = poly.degree
     form = sparse_form(poly.beta, d)
@@ -507,7 +506,9 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     if count != d:
         return _refuse(d, f"seeds={count} zeros={d}")
     iterations = 0
-    for prec in _ladder(target_digits * math.log2(10)):
+    target_bits = target_digits * math.log2(10)
+    ladder = _ladder(target_bits)
+    for prec in ladder:
         started = time.perf_counter()
         with with_precision(prec + 32):
             cs = form.coeffs_mp()
@@ -528,6 +529,8 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
             return _root_set(poly, zeros, bounds, rho, prec, iterations, target_digits)
         if zeros is None:
             return _refuse(d, f"overlapping disks at {prec} bits")
+    if ladder[-1] + 32 < target_bits:
+        raise _ladder_exhausted(target_digits, ladder, rho, min_gap, zeros)
     return _refuse(d, "no level certified")
 
 
@@ -576,10 +579,7 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
                   _disk_fields(rho, min_gap), time.perf_counter() - started)
         if certified:
             return _root_set(poly, z, bounds, rho, prec, total_sweeps, target_digits)
-    raise ConvergenceFailureError(
-        f"root iteration did not certify {target_digits} digits within the "
-        f"precision ladder {ladder}; last level: bits={prec} "
-        f"{_disk_fields(rho, min_gap)}", best=z)
+    raise _ladder_exhausted(target_digits, ladder, rho, min_gap, z)
 
 
 def _as_complex(c):
@@ -649,10 +649,10 @@ def _sign_change(form: SparseForm, t, u) -> bool:
     lo, hi = t - u, t + u
     beta = form.beta.real_value
     iv = mp.iv
-    for z in (iv.mpf(1), iv.mpf(beta.numerator) / beta.denominator):
+    for z in (iv.mpf(1), iv_from(beta)):
         if not (z.b < lo or z.a > hi):
             return False
-    civ = [iv.mpf(c.numerator) / c.denominator for c in form.coeffs]
+    civ = [iv_from(c) for c in form.coeffs]
     f_lo = eval_sparse(civ, form.n, iv.mpf(lo))[0]
     f_hi = eval_sparse(civ, form.n, iv.mpf(hi))[0]
     return (f_lo.b < 0 < f_hi.a) or (f_hi.b < 0 < f_lo.a)

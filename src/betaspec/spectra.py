@@ -48,7 +48,6 @@ from .rootfind import RootSet, log, refine_real_root_reported, solve_all
 
 DEFAULT_EIG_DIGITS = 30
 OUTLIER_ANNULUS_EPS = 0.05
-OUTLIER_VERIFY_MAX_ORDER = 150
 
 
 @lru_cache(maxsize=128)
@@ -119,8 +118,8 @@ class OutlierRecord:
     1/(beta - 1) from the reversed-polynomial analysis.  Either may be absent
     (None) with a ``diagnostic`` when the order is too small for the outliers
     to have separated from the circle cluster.  ``count_verified`` records
-    whether a full spectrum solve confirmed that these are the only two
-    annulus outliers.
+    whether Rouché's theorem proved that exactly two eigenvalues lie off the
+    annulus, one on each side.
     """
 
     n: int
@@ -141,10 +140,12 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     """Locate and refine the two outliers for beta in (1, 2).
 
     Newton refinement is seeded at the limits beta - 1 and 1/(beta - 1).
-    For n <= ``OUTLIER_VERIFY_MAX_ORDER`` a full certified solve confirms
-    that exactly two real positive eigenvalues lie off the annulus.  More
-    mean that the order is below the clustering onset: the diagnostic then
-    gives their count, and ``count_verified`` is false.
+    ``count_verified`` is true when Rouché's theorem on the five-term form
+    (:meth:`~betaspec.charpoly.SparseForm.zeros_inside`) proves that exactly
+    one eigenvalue lies inside |t| < 1 - eps and one beyond |t| > 1 + eps.
+    Otherwise the diagnostic gives the proved counts off the annulus, or
+    the circle on which neither term of the form dominates, as happens
+    below the clustering onset.
     """
     beta.require_class([REAL_GT1], "outlier tracking")
     b = beta.real_value
@@ -160,20 +161,22 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     small_limit = b - 1
     large_limit = 1 / small_limit
 
-    count_verified = False
+    e = Fraction(annulus_eps)  # the binary value mpf_from(annulus_eps) gives
+    inside = form.zeros_inside(1 - e) if e < 1 else 0
+    beyond = form.zeros_inside(1 + e)
+    beyond = None if beyond is None else n - beyond
+    count_verified = (inside, beyond) == (1, 1)
     diagnostics = []
-    if n <= OUTLIER_VERIFY_MAX_ORDER:
-        rs = eigenvalues(beta, n, DEFAULT_EIG_DIGITS)
-        outs = cluster_count(rs, annulus_eps).outside_points
-        with with_precision(rs.precision_used):
-            im_snap = mp.mpf(10) ** (-(rs.target_digits / 2))
-            real_pos = [z for z in outs
-                        if abs(z.imag) < im_snap * (1 + abs(z)) and z.real > 0]
-            count_verified = len(outs) == 2 and len(real_pos) == 2
-        if len(outs) > 2:
-            diagnostics.append(
-                f"{len(outs)} eigenvalues off the annulus at eps={annulus_eps} for "
-                f"n={n}: this order is below the clustering onset")
+    if inside is None or beyond is None:
+        circles = " and ".join(f"|t| = 1 {sign} eps" for sign, c in
+                               (("-", inside), ("+", beyond)) if c is None)
+        diagnostics.append(
+            f"outlier count not proved at eps={annulus_eps} for n={n}: neither "
+            f"term of a + t^n b dominates on {circles}, as below the clustering onset")
+    elif not count_verified:
+        diagnostics.append(
+            f"proved {inside} eigenvalue(s) inside |t| = 1 - eps and {beyond} beyond "
+            f"|t| = 1 + eps at eps={annulus_eps} for n={n}, not one each")
 
     def _try(seed, offset):
         try:

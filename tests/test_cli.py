@@ -317,12 +317,16 @@ def test_eigs_certifies_700_digits_above_2048_bits(capsys):
 
 
 @pytest.mark.parametrize("command", ["eigs", "outliers"])
-def test_digits_beyond_the_ladder_top_exit_1(capsys, command):
-    # 2500 digits need about 8305 bits, more than the 8192-bit top level
-    code, out, err = _run(capsys, command, "--beta=4/3", "--n", "10", "--digits", "2500")
+def test_digits_beyond_the_ladder_top_exit_1(capsys, caplog, command):
+    # 2500 digits need about 8305 bits, more than the 8192-bit top level;
+    # the sparse route raises without handing over to the Aberth ladder
+    with caplog.at_level(logging.DEBUG, logger="betaspec"):
+        code, out, err = _run(capsys, command, "--beta=4/3", "--n", "10", "--digits", "2500")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert json.loads(err)["error"] == "ConvergenceFailureError"
+    if command == "eigs":
+        assert not any(r.getMessage().startswith("solve_all degree=") for r in caplog.records)
 
 
 def test_outliers_far_outlier_at_order_3200(capsys, dense_newton_root):

@@ -22,6 +22,7 @@ from betaspec import (
     find_outliers,
     quasi_normality_gap,
     singular_values,
+    sparse_form,
     weyl_sum,
 )
 from betaspec.spectra import BUILTIN_TEST_FUNCTIONS, circle_average, outlier_csv
@@ -82,26 +83,74 @@ def test_find_outliers_rejects_wrong_class():
 @pytest.mark.parametrize("n", [100, 200])
 @pytest.mark.parametrize("eps", [0, -1])
 def test_find_outliers_rejects_nonpositive_eps(n, eps):
-    # at every order, with or without the verifying solve (n <= 150)
     with pytest.raises(InvalidParameterError):
         find_outliers(BetaParam.parse("4/3"), n, 30, annulus_eps=eps)
 
 
 def test_find_outliers_below_clustering_onset():
     # beta close to 2 at a tiny order: six of the eight eigenvalues
-    # legitimately sit off the annulus, so the verified path reports the count...
+    # legitimately sit off the annulus, and Rouché proves no count...
     beta = BetaParam.parse("39/20")
     rec = find_outliers(beta, 8, 20)
     assert not rec.count_verified
     assert rec.diagnostic.startswith(
-        "6 eigenvalues off the annulus at eps=0.05 for n=8: this order is below "
-        "the clustering onset")
-    # ...and at 151, the first order above the verify cap of 150, the small
-    # outlier is still in the annulus: it is reported absent with a diagnostic
+        "outlier count not proved at eps=0.05 for n=8: neither term of a + t^n b "
+        "dominates on |t| = 1 - eps and |t| = 1 + eps, as below the clustering onset")
+    # ...and at 151 the small outlier is still in the annulus: it is
+    # reported absent with a diagnostic
     rec = find_outliers(beta, 151, 20)
     assert rec.small is None and mp.nstr(rec.large, 15) == "1.05258175435567"
     assert rec.diagnostic is not None and "not separated" in rec.diagnostic
     assert not rec.count_verified
+
+
+ROUCHE_BETAS = st.one_of(
+    st.fractions(min_value=1, max_value=2, max_denominator=60).filter(lambda f: 1 < f < 2),
+    st.fractions(min_value=2, max_value=6, max_denominator=60),
+).map(BetaParam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(beta=ROUCHE_BETAS, n=st.integers(min_value=2, max_value=120),
+       eps=st.sampled_from([0.05, 0.1, 0.2]))
+@example(beta=BetaParam.parse("4/3"), n=39, eps=0.05)
+@example(beta=BetaParam.parse("5"), n=50, eps=0.05)
+def test_rouche_count_matches_the_certified_disks(beta, n, eps):
+    # wherever Rouché proves a count on |t| = 1 -+ eps, the certified disks
+    # lie clear of that circle and exactly that many lie inside it
+    rs = eigenvalues(beta, n, 30)
+    form = sparse_form(beta, n)
+    for rho in (1 - Fraction(eps), 1 + Fraction(eps)):
+        count = form.zeros_inside(rho)
+        if count is None:
+            continue
+        with mp.workprec(rs.precision_used + 32):
+            r = mp.mpf(rho.numerator) / rho.denominator
+            inside = [abs(z) + d < r for z, d in zip(rs.roots, rs.radii)]
+            outside = [abs(z) - d > r for z, d in zip(rs.roots, rs.radii)]
+        assert all(i or o for i, o in zip(inside, outside))
+        assert sum(inside) == count
+
+
+@pytest.mark.parametrize("rho", [Fraction(3, 4), Fraction(1), Fraction(7, 4)])
+def test_rouche_count_refuses_a_zero_on_the_circle(rho):
+    # beta - 1, the spurious zero 1 and beta = 7/4 are zeros of a + t^n b
+    assert sparse_form(BetaParam.parse("7/4"), 20).zeros_inside(rho) is None
+
+
+def test_find_outliers_proves_its_count_without_a_spectrum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("find_outliers solved the spectrum")
+
+    monkeypatch.setattr("betaspec.spectra.eigenvalues", refuse)
+    monkeypatch.setattr("betaspec.spectra.solve_all", refuse)
+    rec = find_outliers(BetaParam.parse("4/3"), 100, 50)
+    assert rec.count_verified and rec.diagnostic is None
+
+
+def test_count_verified_at_order_1600():
+    rec = find_outliers(BetaParam.parse("4/3"), 1600, 20)
+    assert rec.count_verified and rec.diagnostic is None
 
 
 def test_find_outliers_ladder_exhaustion_raises(monkeypatch):
