@@ -12,6 +12,7 @@ help and epilog.  :func:`run` checks the flags and writes what it returns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from .numerics import DEFAULT_PRECISION_BITS, decimal_str, scalar_str
 from .spectra import (
     BUILTIN_TEST_FUNCTIONS,
     DEFAULT_EIG_DIGITS,
+    OUTLIER_ANNULUS_EPS,
     cluster_count,
     cluster_csv,
     eigenvalues,
@@ -66,7 +68,7 @@ FLAGS = {
     "format": (("--format",), dict(choices=("csv", "json"), default="csv", dest="fmt")),
     "out": (("--out",), dict(default=None, help="output path (default stdout)")),
     "exact": (("--exact",), dict(action="store_true", help="exact p/q output")),
-    "eps": (("--eps",), dict(type=float, default=0.05, help="annulus half-width")),
+    "eps": (("--eps",), dict(type=float, default=OUTLIER_ANNULUS_EPS, help="annulus half-width")),
     "kind": (("--kind",), dict(choices=("eigen", "singular", "both"), default="both")),
     "target": (("target",), dict(choices=REPRODUCE_TARGETS)),
     "grid": (("--n",), dict(default=None, help="override the order grid (comma list)")),
@@ -123,7 +125,7 @@ def _charpoly(args) -> str:
 def _eigs(args) -> str:
     rs = eigenvalues(args.beta, args.n, args.digits)
     if args.fmt == "json":
-        return rs.as_json(args.digits) + "\n"
+        return rs.as_json() + "\n"
     return _lines("re,im,residual", (f"{_root_row(z, args.digits)},{decimal_str(r, 3)}"
                                      for z, r in zip(rs.roots, rs.residuals)))
 
@@ -142,7 +144,7 @@ def _outliers(args) -> str:
     records = [find_outliers(args.beta, n, args.digits, annulus_eps=args.eps)
                for n in args.n]
     if args.fmt == "csv":
-        return outlier_csv(records, digits=args.digits)
+        return outlier_csv(records)
 
     def num(x, digits):
         return decimal_str(x, digits) if x is not None else None
@@ -273,7 +275,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="betaspec",
         description="Spectra of rank-one corrections of the shift matrix at "

@@ -167,13 +167,13 @@ def lambda_max_beta1(n: int, target_digits: int) -> AsymptoticFit:
         f"{MAX_POWER_ITERATIONS} iterations")
 
 
-def gerschgorin_check(n: int, target_digits: int = 12) -> bool:
-    """True iff the computed dominant eigenvalue is strictly below n.
+def gerschgorin_check(n: int) -> bool:
+    """True iff the dominant eigenvalue, computed to 12 digits, is strictly below n.
 
     The block is irreducible with row sums n-1 (first row) and n (the rest),
     so the strict bound is the expected outcome for every n.
     """
-    fit = lambda_max_beta1(n, target_digits)
+    fit = lambda_max_beta1(n, 12)
     return bool(fit.lambda_max < n)
 
 

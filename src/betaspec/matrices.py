@@ -165,9 +165,7 @@ class BetaMatrix:
         rows = self.dense_exact()
         if self.beta.is_real:
             return np.array([[float(x) for x in row] for row in rows], dtype=float)
-        return np.array(
-            [[complex(float(x.re), float(x.im)) for x in row] for row in rows]
-        )
+        return np.array([[complex(x) for x in row] for row in rows])
 
     def matvec_exact(self, x: Sequence) -> list:
         """Structured product B @ x over exact scalars, O(n)."""

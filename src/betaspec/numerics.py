@@ -137,6 +137,9 @@ class QComplex:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
     @property
     def is_real(self) -> bool:
         return self.im == 0

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .charpoly import PrecPoly, SparseForm, eval_sparse, sparse_form
 from .matrices import BetaParam
-from .numerics import QComplex, decimal_str, iv_from, mpc_from, mpf_from, polyval, with_precision
+from .numerics import decimal_str, iv_from, mpc_from, mpf_from, polyval, with_precision
 
 log = logging.getLogger("betaspec")
 
@@ -68,11 +68,11 @@ FLOAT_WARMUP_TOL = 1e-12
 class RootSet:
     """All roots of one polynomial, each in its own inclusion disk.
 
-    ``roots`` are mpc values sorted by principal argument (ties by modulus),
-    with an imaginary snap of 10**(-target_digits/2) deciding when a root
-    counts as real for the ordering.  The disks |zeta - roots[k]| <=
-    ``radii[k]`` are pairwise disjoint, each holds exactly one zero of the
-    polynomial, and each radius is at most 10**-target_digits (1 + |root|).
+    ``roots`` are mpc values sorted by principal argument in (-pi, pi], ties
+    by modulus; a root with imaginary part exactly 0 has argument 0 or pi.
+    The disks |zeta - roots[k]| <= ``radii[k]`` are pairwise disjoint, each
+    holds exactly one zero of the polynomial, and each radius is at most
+    10**-target_digits (1 + |root|).
     ``residuals[k]`` is an outward-rounded upper bound on
     |p(roots[k])| / |leading coefficient|, from the same interval evaluation.
     ``precision_used`` is the first level that certified.
@@ -94,8 +94,9 @@ class RootSet:
     def degree(self) -> int:
         return len(self.roots)
 
-    def as_json(self, digits: int | None = None) -> str:
-        d = digits if digits is not None else self.target_digits
+    def as_json(self) -> str:
+        """The report at ``target_digits`` digits (residuals at 3)."""
+        d = self.target_digits
         payload = {
             "beta": str(self.beta) if self.beta is not None else None,
             "n": self.degree,
@@ -119,15 +120,6 @@ def _ladder(target_bits: float) -> tuple:
     first = next((k for k, bits in enumerate(PRECISION_LADDER) if bits + 32 >= target_bits),
                  len(PRECISION_LADDER))
     return PRECISION_LADDER[:first + 4]
-
-
-def _sort_key(z, im_snap):
-    im = z.imag
-    if abs(im) <= im_snap * (1 + abs(z)):
-        arg = mp.mpf(0) if z.real >= 0 else +mp.pi
-    else:
-        arg = mp.atan2(im, z.real)
-    return (arg, abs(z))
 
 
 def _polygon_starts(coeffs) -> list:
@@ -161,7 +153,7 @@ def _polygon_starts(coeffs) -> list:
 def _float_warm_start(coeffs, starts) -> list | None:
     """Guarded float64 Aberth from ``starts``; None if unusable."""
     try:
-        c = np.array([_as_complex(x) for x in coeffs], dtype=np.complex128)
+        c = np.array([complex(x) for x in coeffs], dtype=np.complex128)
     except (OverflowError, TypeError, ValueError):
         return None
     z = np.array([complex(s) for s in starts])
@@ -205,8 +197,9 @@ def _float_warm_start(coeffs, starts) -> list | None:
     return list(z)
 
 
-def _aberth_level(hi, dhi, z, prec, max_sweeps=MAX_SWEEPS_PER_LEVEL):
-    """Gauss-Seidel Ehrlich-Aberth sweeps at one precision level.
+def _aberth_level(hi, dhi, z, prec):
+    """Gauss-Seidel Ehrlich-Aberth sweeps at one precision level, at most
+    ``MAX_SWEEPS_PER_LEVEL``.
 
     ``hi`` and ``dhi`` are the coefficients of p and p' from the highest
     degree down, as :func:`polyval` takes them.  Returns (roots, sweeps,
@@ -223,7 +216,7 @@ def _aberth_level(hi, dhi, z, prec, max_sweeps=MAX_SWEEPS_PER_LEVEL):
     zt = [x._mpc_ for x in z]
     converged = [False] * d
     sweeps = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS_PER_LEVEL):
         sweeps = sweep + 1
         active = 0
         for j in range(d):
@@ -337,8 +330,7 @@ def _root_set(poly, roots, residuals, radii, prec, iterations, target_digits) ->
     """The certified roots as mpc, sorted by argument, as a :class:`RootSet`."""
     with with_precision(prec + 32):
         roots = [mp.mpc(z) for z in roots]
-        im_snap = mp.mpf(10) ** (-(target_digits / 2))
-        order = sorted(range(len(roots)), key=lambda j: _sort_key(roots[j], im_snap))
+        order = sorted(range(len(roots)), key=lambda j: (mp.arg(roots[j]), abs(roots[j])))
     return RootSet(roots=tuple(roots[j] for j in order),
                    residuals=tuple(residuals[j] for j in order),
                    radii=tuple(radii[j] for j in order),
@@ -369,7 +361,7 @@ def _phase_seeds(form: SparseForm) -> list:
     for itself and its conjugate.
     """
     n, real = form.n, form.is_real
-    a0, a1, b0, b1, b2 = (_as_complex(c) for c in form.coeffs)
+    a0, a1, b0, b1, b2 = (complex(c) for c in form.coeffs)
 
     def r(theta):
         t = np.exp(1j * theta)
@@ -405,7 +397,7 @@ def _phase_seeds(form: SparseForm) -> list:
     if abs(za) < 1:
         seeds.append(za.real if real else za)
     zbs = np.roots([b2.real, b1.real, b0.real] if real else [b2, b1, b0])
-    zbs = np.delete(zbs, np.argmin(np.abs(zbs - _as_complex(form.beta.value))))
+    zbs = np.delete(zbs, np.argmin(np.abs(zbs - complex(form.beta.value))))
     for zb in zbs:
         if abs(zb) > 1 and not (real and zb.imag < 0):
             seeds.append(float(zb.real) if real and zb.imag == 0 else complex(zb))
@@ -461,7 +453,7 @@ def _inclusion_disks(form: SparseForm, roots: list):
     if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
         rho += [x for x, z in zip(rho, roots) if isinstance(z, mp.mpc)]
         bounds += [x for x, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
-    points = {1 + 0j, _as_complex(form.beta.value)}  # one point at beta = 1
+    points = {1 + 0j, complex(form.beta.value)}  # one point at beta = 1
     disjoint, min_gap = _disjoint(zeros + list(points), rho + [0] * len(points))
     return zeros if disjoint else None, rho, bounds, min_gap
 
@@ -582,14 +574,6 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
     raise _ladder_exhausted(target_digits, ladder, rho, min_gap, z)
 
 
-def _as_complex(c):
-    if isinstance(c, QComplex):
-        return complex(float(c.re), float(c.im))
-    if isinstance(c, Fraction):
-        return complex(float(c))
-    return complex(c)
-
-
 def refine_real_root_reported(form: SparseForm, seed,
                               target_digits: int) -> tuple[mp.mpf, int]:
     """Polish one real zero of p_n by Newton iteration at escalating precision.
@@ -601,7 +585,9 @@ def refine_real_root_reported(form: SparseForm, seed,
     settled and f changes sign across [root - u, root + u], with
     u = 10**-(target_digits + 2) |root| / n, in outward-rounded interval
     arithmetic: that bracket holds a zero of p_n, narrow enough to fix the
-    printed root and its offsets to the limits.  The ladder's target is the
+    printed root and its offsets to the limits.  An iterate that settles
+    within the step tolerance of 0 is returned as exactly 0, bracketed by
+    u = 10**-(target_digits + 2) / n.  The ladder's target is the
     bracket's (target_digits + 2) log2 10 + log2 n bits.  Returns
     ``(root, bits)``, the mpf iterate and the level that certified it.
 
@@ -626,7 +612,9 @@ def refine_real_root_reported(form: SparseForm, seed,
             t = +best if best is not None else mpf_from(_to_real_seed(seed))
             tol = mp.mpf(2) ** (-(prec - 32))
             t, steps, settled = _newton(cs, n, t, tol, x)
-            u = mp.mpf(10) ** (-(target_digits + 2)) * abs(t) / n
+            if settled and abs(t) <= tol:  # the zero at t = 0 (beta = 1)
+                t = mp.mpf(0)
+            u = mp.mpf(10) ** (-(target_digits + 2)) * (abs(t) or 1) / n
             certified = settled and _sign_change(form, t, u)
             log.debug("refine degree=%d level: bits=%d newton_steps=%d settled=%s "
                       "bracket=%s seconds=%.6f", n, prec, steps, settled,

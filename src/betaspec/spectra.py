@@ -48,6 +48,7 @@ from .rootfind import RootSet, log, refine_real_root_reported, solve_all
 
 DEFAULT_EIG_DIGITS = 30
 OUTLIER_ANNULUS_EPS = 0.05
+CONDITION_BOUND_TOL = 0.02
 
 
 @lru_cache(maxsize=128)
@@ -275,33 +276,32 @@ class TestFunction:
     description: str
 
 
-def _radial_bump(z: complex, width: float = 0.5) -> float:
+def _radial_bump(z: complex) -> float:
     r = abs(z)
-    x = (r - 1.0) / width
+    x = (r - 1.0) / 0.5
     if abs(x) >= 1.0:
         return 0.0
     return (1.0 - x * x) ** 2
 
 
-def _radial_plateau(r: float, flat: float = 4.0, zero: float = 5.0) -> float:
-    if r <= flat:
+def _radial_plateau(r: float) -> float:
+    if r <= 4.0:
         return 1.0
-    if r >= zero:
+    if r >= 5.0:
         return 0.0
-    return (zero - r) / (zero - flat)
+    return 5.0 - r
 
 
-def _arc_indicator(z: complex, half_width: float = np.pi / 2,
-                   shoulder: float = 0.2) -> float:
+def _arc_indicator(z: complex) -> float:
     if z == 0:
         return 0.0
     theta = abs(np.angle(z))
-    if theta <= half_width:
+    if theta <= np.pi / 2:
         ang = 1.0
-    elif theta >= half_width + shoulder:
+    elif theta >= np.pi / 2 + 0.2:
         ang = 0.0
     else:
-        ang = (half_width + shoulder - theta) / shoulder
+        ang = (np.pi / 2 + 0.2 - theta) / 0.2
     return ang * _radial_plateau(abs(z))
 
 
@@ -394,20 +394,19 @@ def weyl_sum(values: Sequence, fn, kind: str) -> WeylReport:
                       gap=abs(empirical - reference))
 
 
-def quasi_normality_gap(beta: BetaParam, n: int,
-                        bits: int = DEFAULT_PRECISION_BITS,
-                        target_digits: int = DEFAULT_EIG_DIGITS) -> mp.mpf:
+def quasi_normality_gap(beta: BetaParam, n: int) -> mp.mpf:
     """Mean index-paired gap between sorted singular values and |eigenvalues|.
 
-    (1/n) * sum_i |sigma_i - |lambda_i|| with both lists sorted nonincreasing.
-    Tends to 0 for |beta| >= 1 as the order grows (asymptotic normality of
+    (1/n) * sum_i |sigma_i - |lambda_i|| with both lists sorted nonincreasing,
+    singular values at ``DEFAULT_PRECISION_BITS`` and eigenvalues at
+    ``DEFAULT_EIG_DIGITS``.  Tends to 0 for |beta| >= 1 as the order grows (asymptotic normality of
     the sequence even though every single matrix is non-normal).
     """
     if beta.abs2() < 1:
         raise InvalidParameterError("quasi-normality gap requires |beta| >= 1")
-    sv = singular_values(beta, n, bits)
-    lam = eigenvalues(beta, n, target_digits)
-    with with_precision(bits):
+    sv = singular_values(beta, n)
+    lam = eigenvalues(beta, n)
+    with with_precision(DEFAULT_PRECISION_BITS):
         moduli = sorted((abs(z) for z in lam.roots), reverse=True)
         total = mp.fsum(abs(sv[i] - moduli[i]) for i in range(n))
         return total / n
@@ -420,16 +419,15 @@ class ConditionReport:
     satisfied: bool
 
 
-def condition_bound_check(beta: BetaParam, n: int,
-                          bits: int = DEFAULT_PRECISION_BITS,
-                          tol: float = 0.02) -> ConditionReport:
+def condition_bound_check(beta: BetaParam, n: int) -> ConditionReport:
     """Spectral-norm conditioning against the [max(beta-1, 1/(beta-1))]^2 bound.
 
-    kappa = sigma_max / sigma_min; satisfied when kappa >= (1 - tol) * bound.
+    kappa = sigma_max / sigma_min at ``DEFAULT_PRECISION_BITS``; satisfied
+    when kappa >= (1 - ``CONDITION_BOUND_TOL``) * bound.
     """
     beta.require_class([REAL_GT1], "conditioning bound")
-    sv = singular_values(beta, n, bits)
-    with with_precision(bits):
+    sv = singular_values(beta, n)
+    with with_precision(DEFAULT_PRECISION_BITS):
         smin = sv[-1]
         if smin == 0:
             raise SingularityError(
@@ -439,8 +437,9 @@ def condition_bound_check(beta: BetaParam, n: int,
         b = beta.real_value
         growth = max(b - 1, Fraction(1) / (b - 1))
         bound = mpf_from(growth * growth)
+        tol = mpf_from(CONDITION_BOUND_TOL)
         return ConditionReport(kappa=kappa, bound=bound,
-                               satisfied=bool(kappa >= (1 - mpf_from(tol)) * bound))
+                               satisfied=bool(kappa >= (1 - tol) * bound))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +453,10 @@ def cluster_csv(reports: Sequence[ClusterReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def outlier_csv(records: Sequence[OutlierRecord], digits: int | None = None) -> str:
+def outlier_csv(records: Sequence[OutlierRecord]) -> str:
     lines = ["n,large,small,err_large,err_small"]
     for r in records:
-        d = digits if digits is not None else r.target_digits
-        fmt = lambda x: decimal_str(x, d) if x is not None else ""
+        fmt = lambda x: decimal_str(x, r.target_digits) if x is not None else ""
         lines.append(f"{r.n},{fmt(r.large)},{fmt(r.small)},"
                      f"{fmt(r.err_large)},{fmt(r.err_small)}")
     return "\n".join(lines) + "\n"

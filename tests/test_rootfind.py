@@ -24,7 +24,7 @@ from betaspec import (
     sparse_form,
 )
 from betaspec import rootfind
-from betaspec.numerics import QComplex, decimal_str, fraction_from_mpf, with_precision
+from betaspec.numerics import QComplex, decimal_str, fraction_from_mpf, mpc_from, with_precision
 from betaspec.rootfind import _aberth_level, _polygon_starts, _sign_change, _solve_sparse
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
@@ -124,24 +124,6 @@ def test_solve_inexact_coefficients():
         assert abs(got[1] - 4) < 1e-29
 
 
-@pytest.mark.parametrize("beta_s,n", [("4/3", 30), ("3", 25), ("5", 12)])
-def test_trace_and_determinant_identities(beta_s, n):
-    beta = BetaParam.parse(beta_s)
-    digits = 30
-    rs = solve_all(charpoly_closed_form(beta, n), digits)
-    inv = beta.inverse_powers(n)
-    with mp.workprec(4 * digits):
-        trace = mp.mpf(sum(inv).numerator) / sum(inv).denominator - 1
-        s = sum(rs.roots)
-        assert abs(s - trace) < mp.mpf(10) ** (-(digits - 4))
-        prod = mp.mpc(1)
-        for z in rs.roots:
-            prod *= z
-        det_ref = (-1) ** n * (1 - Fraction(1) / beta.value)
-        assert abs(prod - mp.mpf(det_ref.numerator) / det_ref.denominator) \
-            < mp.mpf(10) ** (-(digits - 4))
-
-
 def test_complex_beta_roots():
     beta = BetaParam.parse("1+1i")
     rs = solve_all(charpoly_closed_form(beta, 8), 25)
@@ -184,6 +166,18 @@ def test_refine_degree_one_exact():
             assert root == zero
         else:
             assert abs(root - zero) <= abs(zero) / 10 ** 32
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 50])
+def test_refine_certifies_the_zero_eigenvalue_of_beta_one(n):
+    # p_n(0) = 0 exactly at beta = 1; the refinement returns exactly 0,
+    # certified by a sign change of f across [-u, u], u = 10**-32 / n
+    form = sparse_form(BetaParam.parse("1"), n)
+    assert charpoly_closed_form(BetaParam.parse("1"), n).coeffs[0] == 0
+    root, bits = refine_real_root_reported(form, 0.001, 30)
+    assert isinstance(root, mp.mpf) and root == 0 and bits == 256
+    with with_precision(bits + 32):
+        assert _sign_change(form, root, mp.mpf(10) ** -32 / n)
 
 
 def test_sign_change_certificate_brackets_only_a_root():
@@ -298,7 +292,7 @@ def _aberth_level_reference(hi, dhi, z, prec, conv_shift=32, max_sweeps=500):
 
 
 @pytest.mark.parametrize("beta_text,n", [("4/3", 16), ("1+1i", 12)])
-def test_aberth_level_matches_mpmath_objects(beta_text, n):
+def test_aberth_level_matches_mpmath_objects(beta_text, n, monkeypatch):
     poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
     with mp.workprec(288):
         cs = poly.coeffs_mp(real=False)
@@ -310,7 +304,8 @@ def test_aberth_level_matches_mpmath_objects(beta_text, n):
         # one sweep from the starting circles, where every bit of the repulsion sum
         # reaches the iterates, then the whole level
         for max_sweeps in (1, 500):
-            got = _aberth_level(hi, dhi, list(seeds), 256, max_sweeps=max_sweeps)
+            monkeypatch.setattr(rootfind, "MAX_SWEEPS_PER_LEVEL", max_sweeps)
+            got = _aberth_level(hi, dhi, list(seeds), 256)
             expected = _aberth_level_reference(hi, dhi, list(seeds), 256,
                                                max_sweeps=max_sweeps)
             assert got[1:] == expected[1:]
@@ -371,6 +366,32 @@ CROSS_BETAS = st.one_of(
     .filter(lambda z: Fraction(9, 4) <= z.abs2() <= 9).map(BetaParam),
     st.just(BetaParam(1)),
 )
+
+
+@pytest.mark.parametrize("beta_s,n", [("4/3", 30), ("3", 25), ("5", 12)])
+def test_trace_and_determinant_identities(beta_s, n):
+    _check_trace_and_determinant(BetaParam.parse(beta_s), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=CROSS_BETAS.filter(lambda b: b.value != 1), n=st.integers(min_value=2, max_value=60))
+def test_trace_and_determinant_identities_property(beta, n):
+    _check_trace_and_determinant(beta, n)
+
+
+def _check_trace_and_determinant(beta, n):
+    # the root sum is the exact trace S_n - 1 and the root product the exact
+    # determinant (-1)**n (1 - 1/beta)
+    digits = 30
+    rs = solve_all(charpoly_closed_form(beta, n), digits)
+    with mp.workprec(4 * digits):
+        trace = mpc_from(sum(beta.inverse_powers(n)) - 1)
+        assert abs(sum(rs.roots) - trace) < mp.mpf(10) ** (-(digits - 4))
+        prod = mp.mpc(1)
+        for z in rs.roots:
+            prod *= z
+        det_ref = mpc_from((-1) ** n * (1 - 1 / beta.value))
+        assert abs(prod - det_ref) < mp.mpf(10) ** (-(digits - 4))
 
 
 @settings(max_examples=25, deadline=None)
