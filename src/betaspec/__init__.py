@@ -78,9 +78,7 @@ from .spectra import (
 from .limitcase import (
     AsymptoticFit,
     PowerTrace,
-    extrapolate_c2,
     first_component_reference,
-    gerschgorin_check,
     kernel_vector,
     lambda_max_beta1,
     power_method_trace,

@@ -6,37 +6,46 @@ other eigenvalue lives in the strictly positive block
 ``X = (lower shift) + ones`` of order n-1.  The kernel has a closed form:
 B w = 0 for w = (1, s) means X s = -(e + e_1), whose first row gives
 sum(s) = -2 and whose row i >= 2 then gives s_{i-1} = 1, so
-w = (1, ..., 1, -n).  Positivity makes the dominant eigenvalue simple
-(Perron theory), so the power method started from the all-ones vector
-converges; all iterates stay exact integer vectors, the ratios of first
-components are exact rationals converging to the dominant eigenvalue, and
-the row-sum bound keeps that eigenvalue strictly below n.
+w = (1, ..., 1, -n).
 
-Empirically the dominant eigenvalue behaves like ``n - 1/n + c2/n**2 + ...``;
-the module reports the first two expansion checks (``c0_est = lam - n``,
-``c1_est = n*(lam - n)``) and offers an optional extrapolation for c2 that
-makes no ground-truth claim.
+The dominant eigenvalue comes from the five-term form of p_n
+(:func:`~betaspec.charpoly.sparse_form` with x = 1):
+(1 - t)**2 p_n = -t + t**n b(t), b(t) = t**2 - (n + 1) t + (n + 1).  For
+n >= 3 let T_n be the larger zero of b.  On [T_n, n] the function
+t**(n-1) b(t) - 1 increases from -1 to n**(n-1) - 1, so it has one zero
+lambda there and none beyond; lambda is the largest real eigenvalue, hence
+the Perron root of X.  The proof of lambda < n is b(lambda) = lambda**(1-n)
+< 1 = b(n), with b increasing past (n + 1)/2.  Since b(lambda) =
+lambda**(1-n), lambda - T_n is about n**(1-n) / (n - 1), and
+T_n = (n + 1) - sum_k C_k (n + 1)**-k with C_k the Catalan numbers, so
+
+    lambda = n - 1/n - 1/n**2 - 2/n**3 - 4/n**4 - ...
+
+up to a term of order n**(1-n): c1 = -1 and c2 = -1 exactly.
+:func:`lambda_max_beta1` refines lambda from T_n and certifies it by an
+interval sign-change bracket; the table reports the expansion checks
+``c0_est = lam - n`` and ``c1_est = n*(lam - n)``.
+
+The exact integer power method (:func:`power_method_trace`) only serves
+the first components of ``reproduce table1`` and the trace that
+``beta1 --format json`` prints: its iterates stay exact integer vectors and
+the ratios of their first components are exact rationals.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 
-from .errors import (
-    ConvergenceFailureError,
-    InvalidOrderError,
-    InvalidParameterError,
-)
-from .numerics import decimal_str, mpf_from, with_precision
-
-# Iteration cap of lambda_max_beta1.  X has row sums <= n, so after k
-# products no entry exceeds n**k and the exact integer iterates stay below
-# (MAX_POWER_ITERATIONS + 1) * log2(n) + 1 bits.
-MAX_POWER_ITERATIONS = 20000
+from .charpoly import sparse_form
+from .errors import InvalidOrderError, InvalidParameterError
+from .matrices import BetaParam
+from .numerics import DEFAULT_PRECISION_BITS, decimal_str, with_precision
+from .rootfind import PRECISION_LADDER, refine_real_root_reported
 
 # Closed-form first components (v_k)_1 of the exact power iteration as
 # polynomials in n (low -> high coefficients), k = 1..5.  Verified against
@@ -112,7 +121,8 @@ def power_method_trace(n: int, iterations: int) -> PowerTrace:
 
 @dataclass(frozen=True)
 class AsymptoticFit:
-    """Dominant-eigenvalue estimate with its first two expansion checks."""
+    """Certified dominant eigenvalue with its first two expansion checks;
+    ``iterations`` is the number of precision-ladder levels climbed."""
 
     n: int
     lambda_max: mp.mpf
@@ -131,50 +141,32 @@ class AsymptoticFit:
 
 
 def lambda_max_beta1(n: int, target_digits: int) -> AsymptoticFit:
-    """Dominant eigenvalue of the positive block by ratio-converged power method.
+    """The dominant eigenvalue, certified, with its first two expansion checks.
 
-    Iterates exactly over integers until the first-component ratios settle to
-    the digit target (|r_{k+1} - r_k| < 10**-(target_digits+2)), at most
-    ``MAX_POWER_ITERATIONS`` times.  The ratio of first components is the
-    convergence quantity, not a full Rayleigh quotient.
+    Newton on the five-term form
+    (:func:`~betaspec.rootfind.refine_real_root_reported`) from the larger
+    zero T_n of b, about n**(1-n) / (n - 1) below lambda, to
+    ``target_digits + 2 ceil(log10 n) + 4`` digits, so that the interval
+    sign-change bracket fixes the printed c0 = lam - n and c1 = n (lam - n)
+    as well.  ``iterations`` counts the precision-ladder levels climbed.
     """
     if n < 2:
         raise InvalidOrderError("dominant-eigenvalue analysis requires n >= 2")
     if target_digits < 1:
         raise InvalidParameterError("target_digits must be >= 1")
-    prec = max(256, int(target_digits * 3.4) + 64)
     if n == 2:
-        with with_precision(prec):
-            one = mp.mpf(1)
-            return AsymptoticFit(n=2, lambda_max=one, c0_est=one - 2,
-                                 c1_est=2 * (one - 2), iterations=0)
-
-    stop = Fraction(1, 10 ** (target_digits + 2))
-    v = [1] * (n - 1)
-    r_prev: Fraction | None = None
-    for k in range(MAX_POWER_ITERATIONS):
-        w = _block_apply(v)
-        r = Fraction(w[0], v[0])
-        if r_prev is not None and abs(r - r_prev) < stop:
-            with with_precision(prec):
-                lam = mpf_from(r)
-                return AsymptoticFit(n=n, lambda_max=lam, c0_est=lam - n,
-                                     c1_est=n * (lam - n), iterations=k + 1)
-        r_prev = r
-        v = w
-    raise ConvergenceFailureError(
-        f"power method did not settle to {target_digits} digits in "
-        f"{MAX_POWER_ITERATIONS} iterations")
-
-
-def gerschgorin_check(n: int) -> bool:
-    """True iff the dominant eigenvalue, computed to 12 digits, is strictly below n.
-
-    The block is irreducible with row sums n-1 (first row) and n (the rest),
-    so the strict bound is the expected outcome for every n.
-    """
-    fit = lambda_max_beta1(n, 12)
-    return bool(fit.lambda_max < n)
+        one = mp.mpf(1)
+        return AsymptoticFit(n=2, lambda_max=one, c0_est=one - 2,
+                             c1_est=2 * (one - 2), iterations=0)
+    m = n + 1
+    with with_precision(DEFAULT_PRECISION_BITS):
+        t_n = (m + mp.sqrt(m * m - 4 * m)) / 2
+    lam, bits = refine_real_root_reported(
+        sparse_form(BetaParam.parse("1"), n), t_n,
+        target_digits + 2 * math.ceil(math.log10(n)) + 4)
+    with with_precision(bits + 32):
+        return AsymptoticFit(n=n, lambda_max=lam, c0_est=lam - n, c1_est=n * (lam - n),
+                             iterations=PRECISION_LADDER.index(bits) + 1)
 
 
 def kernel_vector(n: int) -> list[Fraction]:
@@ -189,33 +181,14 @@ def kernel_vector(n: int) -> list[Fraction]:
     return [Fraction(1)] * (n - 1) + [Fraction(-n)]
 
 
-def extrapolate_c2(ns: Sequence[int] = (50, 100, 200, 400),
-                   target_digits: int = 16) -> float:
-    """Least-squares extrapolation of the second expansion coefficient.
-
-    Fits d_n = n**2 * (lam - n) + n against c2 + c3/n.  Reported as an
-    estimate only; no reference value exists to check it against.
-    """
-    if len(ns) < 2:
-        raise InvalidParameterError("need at least two orders to extrapolate")
-    xs, ys = [], []
-    with with_precision(max(256, 8 * target_digits)):
-        for n in ns:
-            fit = lambda_max_beta1(n, target_digits)
-            d = n * n * (fit.lambda_max - n) + n
-            xs.append(1.0 / n)
-            ys.append(float(d))
-    k = len(xs)
-    sx = sum(xs); sy = sum(ys)
-    sxx = sum(x * x for x in xs); sxy = sum(x * y for x, y in zip(xs, ys))
-    slope = (k * sxy - sx * sy) / (k * sxx - sx * sx)
-    return (sy - slope * sx) / k
-
-
 def beta1_table_csv(ns: Sequence[int], target_digits: int = 12) -> str:
-    """Rows (n, c0_est, c1_est) for the asymptotic-expansion table."""
+    """Rows (n, c0_est, c1_est) for the asymptotic-expansion table: c0 to
+    min(target_digits, 10) significant digits and c1 to one more, each
+    certified by :func:`lambda_max_beta1`."""
+    digits = min(target_digits, 10)
     lines = ["n,c0_est,c1_est"]
     for n in ns:
         fit = lambda_max_beta1(n, target_digits)
-        lines.append(f"{n},{decimal_str(fit.c0_est, 10)},{decimal_str(fit.c1_est, 11)}")
+        lines.append(f"{n},{decimal_str(fit.c0_est, digits)},"
+                     f"{decimal_str(fit.c1_est, digits + 1)}")
     return "\n".join(lines) + "\n"

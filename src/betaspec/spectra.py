@@ -6,8 +6,8 @@ grows; for beta in (1, 2) exactly two real positive outliers persist, with
 limits beta - 1 (inside) and 1/(beta - 1) (outside).  This module measures
 all of that on computed spectra: annulus partition counts, outlier tracking
 with errors to the limits, singular values from the low-rank structure of
-the Gram matrix B*B, averaged test-function sums against the circle average
-(eigenvalues) or the constant 1 (singular values), the quasi-normality gap,
+the Gram matrix B*B, averaged test-function sums against the exact circle
+mean (eigenvalues) or the constant 1 (singular values), the quasi-normality gap,
 and the spectral-norm conditioning bound.
 
 Pairing convention: the quasi-normality gap compares the full sorted lists
@@ -18,6 +18,7 @@ sets as distributions.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,13 +268,15 @@ def singular_values(beta: BetaParam, n: int, bits: int = DEFAULT_PRECISION_BITS)
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Continuous compactly supported test function for distribution sums."""
+    """Continuous compactly supported test function for distribution sums,
+    with its exact unit-circle mean (1/2pi) * integral of F(e^{i theta})."""
 
     __test__ = False  # not a pytest collectible despite the name
 
     fid: str
     fn: Callable[[complex], float]
     description: str
+    mean: float
 
 
 def _radial_bump(z: complex) -> float:
@@ -313,22 +316,23 @@ def _im_moment(z: complex) -> float:
     return z.imag * _radial_plateau(abs(z))
 
 
+# Means: the bump is 1 on the circle, the arc weight integrates to
+# pi + 2 * (0.2 / 2), and the moments of cos and sin vanish.
 BUILTIN_TEST_FUNCTIONS = {
     "radial_bump": TestFunction(
         "radial_bump", _radial_bump,
-        "C^1 bump in |z| centered on the unit circle, width 1/2"),
+        "C^1 bump in |z| centered on the unit circle, width 1/2", 1.0),
     "arc_indicator": TestFunction(
         "arc_indicator", _arc_indicator,
-        "smoothed indicator of the arc |arg z| <= pi/2 with radial plateau"),
+        "smoothed indicator of the arc |arg z| <= pi/2 with radial plateau",
+        (math.pi + 0.2) / (2 * math.pi)),
     "re_moment": TestFunction(
         "re_moment", _re_moment,
-        "Re(z) truncated by a radial plateau (1 up to |z|=4, 0 beyond 5)"),
+        "Re(z) truncated by a radial plateau (1 up to |z|=4, 0 beyond 5)", 0.0),
     "im_moment": TestFunction(
         "im_moment", _im_moment,
-        "Im(z) truncated by a radial plateau (1 up to |z|=4, 0 beyond 5)"),
+        "Im(z) truncated by a radial plateau (1 up to |z|=4, 0 beyond 5)", 0.0),
 }
-
-QUADRATURE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -363,23 +367,12 @@ def _resolve_test_function(fn) -> TestFunction:
     raise UnknownTestFunctionError(f"cannot resolve test function from {fn!r}")
 
 
-def circle_average(fn) -> float:
-    """Reference value (1/2pi) * integral of F(e^{i theta}) over [-pi, pi].
-
-    Composite trapezoid with QUADRATURE_NODES nodes; for a periodic integrand
-    this is the uniform node average, spectrally accurate for smooth F.
-    """
-    f = _resolve_test_function(fn)
-    theta = -np.pi + 2 * np.pi * np.arange(QUADRATURE_NODES) / QUADRATURE_NODES
-    vals = [f.fn(complex(np.cos(t), np.sin(t))) for t in theta]
-    return float(np.mean(vals))
-
-
 def weyl_sum(values: Sequence, fn, kind: str) -> WeylReport:
     """Averaged F over a spectrum against the distribution reference.
 
     ``kind='eigen'`` compares (1/n) sum F(lambda_i) to the unit-circle
-    average of F; ``kind='singular'`` compares (1/n) sum F(sigma_i) to F(1).
+    mean of F (``TestFunction.mean``); ``kind='singular'`` compares
+    (1/n) sum F(sigma_i) to F(1).
     """
     if kind not in ("eigen", "singular"):
         raise InvalidParameterError(f"kind must be 'eigen' or 'singular', got {kind!r}")
@@ -388,7 +381,7 @@ def weyl_sum(values: Sequence, fn, kind: str) -> WeylReport:
     f = _resolve_test_function(fn)
     pts = [complex(v) for v in values]
     empirical = float(np.mean([f.fn(z) for z in pts]))
-    reference = circle_average(f) if kind == "eigen" else float(f.fn(complex(1.0)))
+    reference = f.mean if kind == "eigen" else float(f.fn(complex(1.0)))
     return WeylReport(fid=f.fid, kind=kind, n=len(values),
                       empirical_mean=empirical, reference=reference,
                       gap=abs(empirical - reference))

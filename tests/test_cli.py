@@ -32,15 +32,16 @@ REFERENCE_OUTPUTS = (
     # errors far below the printed roots: err_small is about 1e-763
     (("outliers", "--beta=4/3", "--n", "1600", "--digits", "100", "--out", "{out}/out.csv"),
      "out.csv", "1d4d9857837a74fadb60cf99c1c9fe2ade572c4a7c08ec49b2ea74c9801781df"),
-    # exact power method and trace of the beta = 1 block
+    # certified lambda_max and the exact power trace of the beta = 1 block
     (("beta1", "--n", "3,50,400", "--digits", "40", "--format", "json", "--out", "{out}/b1.json"),
-     "b1.json", "9d30452b4cd9eeeb51ad67d1affca76156f2f44a7607f15d012600d0d13d8c18"),
+     "b1.json", "99187b6bb6cdf8b8d86f428d3bd837e4bba22f58368791beaf71aa4edb375df5"),
     # the order the structured benchmark runs; pins the closed-form Gram block
     (("singvals", "--beta=4/3", "--n", "1600", "--digits", "30", "--out", "{out}/sv.csv"),
      "sv.csv", "705606948c39fce8bcdc65543d32714c71982f5df3942fb5837d9186902ec0e3"),
-    # eigenvalue and singular-value sums at the solver's defaults, 30 digits and 256 bits
+    # eigenvalue and singular-value sums at the solver's defaults, 30 digits and
+    # 256 bits, against the exact circle means
     (("weyl", "--beta=3", "--n", "40", "--kind", "both", "--out", "{out}/weyl.csv"),
-     "weyl.csv", "b5a281a40c75d2797ab064a40b15d1dc74ef8f70c43f519d3664cf5a7e3963b9"),
+     "weyl.csv", "bed56b8903974e49135ac2b30f410710544b155359ac336450d882fefaa344ab"),
     (("reproduce", "table1", "--out", "{out}"), "table1.csv",
      "7d8d4628923bf7501715fc35ca77e03c8518301cdbf65b06cb351efea1c4e4d8"),
 )
@@ -327,6 +328,15 @@ def test_digits_beyond_the_ladder_top_exit_1(capsys, caplog, command):
     assert json.loads(err)["error"] == "ConvergenceFailureError"
     if command == "eigs":
         assert not any(r.getMessage().startswith("solve_all degree=") for r in caplog.records)
+
+
+def test_beta1_digits_beyond_the_ladder_top_exit_1(capsys):
+    # 3000 digits at n = 50 need a bracket of about 10000 bits, more than the
+    # 8192-bit top level: the refinement refuses rather than print uncertified digits
+    code, out, err = _run(capsys, "beta1", "--n", "50", "--digits", "3000")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "ConvergenceFailureError"
 
 
 def test_outliers_far_outlier_at_order_3200(capsys, dense_newton_root):

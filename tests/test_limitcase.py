@@ -1,4 +1,5 @@
 """Degenerate-parameter analysis: exact power method, kernel, expansion checks."""
+import json
 import logging
 from fractions import Fraction
 
@@ -10,13 +11,13 @@ from betaspec import (
     InvalidOrderError,
     build_beta_matrix,
     eigenvalues,
-    extrapolate_c2,
     first_component_reference,
-    gerschgorin_check,
     kernel_vector,
     lambda_max_beta1,
     power_method_trace,
+    with_precision,
 )
+from betaspec.charpoly import eval_sparse
 
 BETA1 = BetaParam.parse("1")
 
@@ -105,9 +106,50 @@ def test_beta1_spectrum_holds_the_kernel_and_the_power_method_root(caplog, n):
         assert abs(top.real - lambda_max_beta1(n, 30).lambda_max) < mp.mpf(10) ** -28
 
 
+def _newton_reference(n: int, dps: int = 150):
+    """lambda_max by plain Newton on g(t) = t**(n-1) b(t) - 1, b(t) = t**2 -
+    (n + 1) t + (n + 1), from t = n: g is increasing and convex past the
+    larger zero of b, so the iterates fall monotonically to the root."""
+    with mp.workdps(dps):
+        m = n + 1
+        t = mp.mpf(n)
+        for _ in range(500):
+            b = t * t - m * t + m
+            g = t ** (n - 1) * b - 1
+            dg = t ** (n - 2) * ((n - 1) * b + t * (2 * t - m))
+            step = g / dg
+            t -= step
+            if abs(step) < mp.mpf(10) ** (10 - dps):
+                return t
+    raise AssertionError("reference Newton did not settle")
+
+
+@pytest.mark.parametrize("n,digits", [(6, 12), (10, 10), (11, 4), (5, 15), (5, 12),
+                                      (3, 40), (50, 40), (400, 40)])
+def test_lambda_max_json_digits_match_an_independent_newton_root(n, digits):
+    # the printed digits of lambda, lam - n and n (lam - n) against a
+    # 150-digit root of the five-term form computed without the package
+    got = json.loads(lambda_max_beta1(n, digits).as_json(digits))
+    lam = _newton_reference(n)
+    with mp.workdps(150):
+        want = {"lambda_max": mp.nstr(lam, digits + len(str(n)) + 2),
+                "c0_est": mp.nstr(lam - n, digits), "c1_est": mp.nstr(n * (lam - n), digits)}
+    assert {k: got[k] for k in want} == want
+
+
 @pytest.mark.parametrize("n", [3, 50, 400])
-def test_gerschgorin_strict_bound(n):
-    assert gerschgorin_check(n)
+def test_lambda_max_below_n(n):
+    # f = -t + t**n b changes sign across the certified bracket, which lies
+    # below n; there b(t) < 1 = b(n), and b increases past (n + 1)/2
+    lam = lambda_max_beta1(n, 12).lambda_max
+    cs = [mp.iv.mpf(c) for c in (0, -1, n + 1, -(n + 1), 1)]
+    with with_precision(256):
+        u = mp.mpf(10) ** -14
+        lo, hi = mp.iv.mpf(lam - u), mp.iv.mpf(lam + u)
+        assert eval_sparse(cs, n, lo)[0].b < 0 < eval_sparse(cs, n, hi)[0].a
+        assert (hi * hi - (n + 1) * hi + (n + 1)).b < 1
+    assert n * n - (n + 1) * n + (n + 1) == 1
+    assert hi.b < n
 
 
 def test_kernel_small_cases():
@@ -155,7 +197,12 @@ def test_c1_estimates_tend_to_minus_one():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_c2_extrapolation_reports_a_number():
-    est = extrapolate_c2(ns=(50, 100), target_digits=12)
-    assert est == est  # finite
-    assert abs(est) < 100
+def test_expansion_fourth_coefficient_tends_to_minus_four():
+    # lambda = n - 1/n - 1/n**2 - 2/n**3 - 4/n**4 - ... from the Catalan
+    # expansion of the larger zero of b, so c2 = -1 exactly
+    for n in (50, 400, 6400):
+        lam = lambda_max_beta1(n, 30).lambda_max
+        with mp.workdps(60):
+            q = mp.mpf(1) / n
+            c4 = (lam - (n - q - q ** 2 - 2 * q ** 3)) / q ** 4
+        assert abs(c4 + 4) < 10 / n, (n, c4)

@@ -25,7 +25,7 @@ from betaspec import (
     sparse_form,
     weyl_sum,
 )
-from betaspec.spectra import BUILTIN_TEST_FUNCTIONS, circle_average, outlier_csv
+from betaspec.spectra import BUILTIN_TEST_FUNCTIONS, outlier_csv
 
 REFERENCE_N100 = "2.9999999999988454072132625253185082984139093876636"
 
@@ -298,7 +298,7 @@ def test_singular_values_debug_record(caplog):
 
 def test_weyl_constant_window_gap_zero():
     const = TestFunction("const_window", lambda z: 1.0 if abs(z) <= 50 else 0.0,
-                         "constant on a ball that contains every tested spectrum")
+                         "constant on a ball that contains every tested spectrum", 1.0)
     rs = eigenvalues(BetaParam.parse("3"), 30, 30)
     rep = weyl_sum(rs.roots, const, "eigen")
     assert rep.gap == 0.0
@@ -329,7 +329,19 @@ def test_weyl_singular_gap_small():
 
 
 def test_weyl_radial_bump_reference_is_one():
-    assert circle_average("radial_bump") == pytest.approx(1.0, abs=1e-12)
+    assert weyl_sum([2.0], "radial_bump", "eigen").reference == 1.0
+
+
+@pytest.mark.parametrize("fid", sorted(BUILTIN_TEST_FUNCTIONS))
+def test_weyl_builtin_mean_matches_the_circle_integral(fid):
+    # each stated mean against (1/2pi) * integral of F(e^{i theta}), by
+    # tanh-sinh quadrature split where the arc weight has kinks
+    f = BUILTIN_TEST_FUNCTIONS[fid]
+    with mp.workdps(30):
+        kinks = [mp.pi / 2, mp.pi / 2 + mp.mpf("0.2")]
+        nodes = [-mp.pi, -kinks[1], -kinks[0], 0, kinks[0], kinks[1], mp.pi]
+        integral = mp.quad(lambda th: f.fn(complex(mp.cos(th), mp.sin(th))), nodes)
+        assert abs(integral / (2 * mp.pi) - f.mean) < 1e-14
 
 
 def test_weyl_errors():
