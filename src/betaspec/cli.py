@@ -27,7 +27,7 @@ from .limitcase import (
     power_method_trace,
 )
 from .matrices import REAL_GT1, BetaParam, build_beta_matrix, matrix_to_csv
-from .numerics import DEFAULT_PRECISION_BITS, decimal_str, scalar_str
+from .numerics import decimal_str, scalar_str
 from .spectra import (
     BUILTIN_TEST_FUNCTIONS,
     DEFAULT_EIG_DIGITS,
@@ -63,8 +63,6 @@ FLAGS = {
     "orders": (("--n",), _ORDERS),
     "digits": (("--digits",), dict(type=int, default=DEFAULT_EIG_DIGITS,
                                    help="significant digits target")),
-    "prec": (("--prec",), dict(type=int, default=DEFAULT_PRECISION_BITS,
-                               help="working precision in bits")),
     "format": (("--format",), dict(choices=("csv", "json"), default="csv", dest="fmt")),
     "out": (("--out",), dict(default=None, help="output path (default stdout)")),
     "exact": (("--exact",), dict(action="store_true", help="exact p/q output")),
@@ -157,8 +155,7 @@ def _outliers(args) -> str:
 
 
 def _singvals(args) -> str:
-    sv = [decimal_str(s, args.digits)
-          for s in singular_values(args.beta, args.n, bits=args.prec)]
+    sv = [decimal_str(s, args.digits) for s in singular_values(args.beta, args.n, args.digits)]
     if args.fmt == "json":
         return json.dumps({"n": args.n, "beta": str(args.beta),
                            "singular_values": sv}) + "\n"
@@ -221,7 +218,7 @@ def _reproduce(args) -> str:
                 rows.append(f"{n},{k},{got},{ref},{got == ref}")
         files["table1.csv"] = _lines("n,k,first_component,reference,match", rows)
     else:  # table2
-        files["table2.csv"] = beta1_table_csv(ns, target_digits=args.digits or 12)
+        files["table2.csv"] = beta1_table_csv(ns, target_digits=args.digits or 10)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
@@ -257,14 +254,13 @@ COMMANDS = {
                         "CSV columns: n,large,small,err_large,err_small. JSON adds "
                         "count_verified (one eigenvalue inside and one beyond the annulus, "
                         "proved by Rouché's theorem) and diagnostic.", REAL_GT1),
-    "singvals": Command(_singvals, ("beta", "order", "digits", "prec", "format", "out"),
+    "singvals": Command(_singvals, ("beta", "order", *_OUTPUT),
                         "singular values, sorted nonincreasing",
                         "CSV: one singular value per line."),
     "weyl": Command(_weyl, ("beta", "orders", "format", "out", "kind"),
                     "averaged test-function distribution sums",
-                    "CSV columns: n,f_id,kind,empirical,reference,gap. Eigenvalues at "
-                    f"{DEFAULT_EIG_DIGITS} digits, singular values at "
-                    f"{DEFAULT_PRECISION_BITS} bits. Built-in functions: "
+                    "CSV columns: n,f_id,kind,empirical,reference,gap. Eigenvalues and "
+                    f"singular values at {DEFAULT_EIG_DIGITS} digits. Built-in functions: "
                     f"{', '.join(sorted(BUILTIN_TEST_FUNCTIONS))}."),
     "beta1": Command(_beta1, ("orders", *_OUTPUT), "degenerate-parameter (beta=1) analysis",
                      "CSV columns: n,c0_est,c1_est. JSON adds the exact power-method trace."),
@@ -296,8 +292,6 @@ def _validate(args) -> None:
     cmd = COMMANDS[args.command]
     if getattr(args, "digits", None) is not None and args.digits < 1:
         raise UsageError("--digits must be >= 1")
-    if getattr(args, "prec", 64) < 64:
-        raise UsageError("--prec must be >= 64 bits")
     if getattr(args, "eps", 1) <= 0:
         raise UsageError("--eps must be positive")
     if args.n is not None:

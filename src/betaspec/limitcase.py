@@ -181,14 +181,13 @@ def kernel_vector(n: int) -> list[Fraction]:
     return [Fraction(1)] * (n - 1) + [Fraction(-n)]
 
 
-def beta1_table_csv(ns: Sequence[int], target_digits: int = 12) -> str:
+def beta1_table_csv(ns: Sequence[int], target_digits: int) -> str:
     """Rows (n, c0_est, c1_est) for the asymptotic-expansion table: c0 to
-    min(target_digits, 10) significant digits and c1 to one more, each
-    certified by :func:`lambda_max_beta1`."""
-    digits = min(target_digits, 10)
+    ``target_digits`` significant digits and c1 to one more, each certified
+    by :func:`lambda_max_beta1`."""
     lines = ["n,c0_est,c1_est"]
     for n in ns:
         fit = lambda_max_beta1(n, target_digits)
-        lines.append(f"{n},{decimal_str(fit.c0_est, digits)},"
-                     f"{decimal_str(fit.c1_est, digits + 1)}")
+        lines.append(f"{n},{decimal_str(fit.c0_est, target_digits)},"
+                     f"{decimal_str(fit.c1_est, target_digits + 1)}")
     return "\n".join(lines) + "\n"

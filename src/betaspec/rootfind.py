@@ -113,13 +113,18 @@ class RootSet:
         return json.dumps(payload)
 
 
+def ladder_level(target_bits: float) -> int | None:
+    """The first level L of ``PRECISION_LADDER`` with L + 32 >= target_bits,
+    or None if no level is that high."""
+    return next((bits for bits in PRECISION_LADDER if bits + 32 >= target_bits), None)
+
+
 def _ladder(target_bits: float) -> tuple:
     """The levels of ``PRECISION_LADDER`` that a computation needing
-    ``target_bits`` climbs: up to three past the first level L with
-    L + 32 >= target_bits, or all of them if no level is that high."""
-    first = next((k for k, bits in enumerate(PRECISION_LADDER) if bits + 32 >= target_bits),
-                 len(PRECISION_LADDER))
-    return PRECISION_LADDER[:first + 4]
+    ``target_bits`` climbs: :func:`ladder_level` and up to three past it, or
+    all of them if no level is that high."""
+    first = ladder_level(target_bits)
+    return PRECISION_LADDER[:PRECISION_LADDER.index(first) + 4] if first else PRECISION_LADDER
 
 
 def _polygon_starts(coeffs) -> list:
@@ -151,7 +156,9 @@ def _polygon_starts(coeffs) -> list:
 
 
 def _float_warm_start(coeffs, starts) -> list | None:
-    """Guarded float64 Aberth from ``starts``; None if unusable."""
+    """Guarded float64 Aberth from ``starts``; None if unusable.  A root
+    whose correction is not finite keeps its iterate, and iterates that
+    coincide are left to :func:`_aberth_level`'s tie guard."""
     try:
         c = np.array([complex(x) for x in coeffs], dtype=np.complex128)
     except (OverflowError, TypeError, ValueError):
@@ -174,26 +181,17 @@ def _float_warm_start(coeffs, starts) -> list | None:
             np.fill_diagonal(diff, np.inf)
             s = (1.0 / diff).sum(axis=1)
             delta = w / (1.0 - w * s)
-            bad = ~np.isfinite(delta)
-            delta = np.where(bad, 0.0, delta)
+            delta = np.where(np.isfinite(delta), delta, 0.0)
             znew = z - delta
             r = np.abs(znew)
             znew = np.where(r > cap, znew / np.where(r == 0, 1, r) * cap, znew)
             znew = np.where(np.isfinite(znew), znew, z)
             rel = np.abs(delta) / (1.0 + np.abs(znew))
             z = znew
-            if not bad.any() and np.max(rel) < FLOAT_WARMUP_TOL:
+            if np.max(rel) < FLOAT_WARMUP_TOL:
                 break
     if not np.all(np.isfinite(z)):
         return None
-    # Aberth needs pairwise-distinct iterates; nudge any collisions
-    order = np.lexsort((z.imag, z.real))
-    zs = z[order]
-    coll = np.abs(np.diff(zs)) < 1e-14 * (1.0 + np.abs(zs[:-1]))
-    if coll.any():
-        for idx in np.nonzero(coll)[0]:
-            zs[idx + 1] = zs[idx + 1] * (1.0 + 1e-10) + 1e-12j
-        z = zs
     return list(z)
 
 

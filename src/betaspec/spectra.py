@@ -29,6 +29,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import (
+    ConvergenceFailureError,
     InvalidOrderError,
     InvalidParameterError,
     RefinementFailureError,
@@ -45,7 +46,7 @@ from .numerics import (
     mpf_from,
     with_precision,
 )
-from .rootfind import RootSet, log, refine_real_root_reported, solve_all
+from .rootfind import RootSet, ladder_level, log, refine_real_root_reported, solve_all
 
 DEFAULT_EIG_DIGITS = 30
 OUTLIER_ANNULUS_EPS = 0.05
@@ -218,9 +219,11 @@ def _geometric(z, m: int):
     return z * (1 - z ** m) / d if d else m
 
 
-def singular_values(beta: BetaParam, n: int, bits: int = DEFAULT_PRECISION_BITS) -> list:
+def singular_values(beta: BetaParam, n: int, target_digits: int = DEFAULT_EIG_DIGITS) -> list:
     """Singular values of the order-n member, sorted nonincreasing, each to
-    ``bits`` of relative accuracy.
+    ``target_digits`` significant digits: to L + 32 bits, for the ladder level
+    L of (target_digits + 2) log2 10 bits (:func:`~betaspec.rootfind.ladder_level`).
+    A target past the ladder's top raises :class:`ConvergenceFailureError`.
 
     With x = 1/beta, u_j = x^j - [j = 1] and w = (u_2, ..., u_n, 0),
     B*B = I - e_n e_n^T + w e^T + e w* + |u|^2 e e^T is the identity outside
@@ -228,11 +231,16 @@ def singular_values(beta: BetaParam, n: int, bits: int = DEFAULT_PRECISION_BITS)
     Hermitian block H of size k <= 3 with exact geometric-sum entries (k < 3
     only at n <= 2 and at beta = 1).  The least eigenvalue of H is at least
     det / trace^(k-1), with det H = |1 - x|^2 and trace H exact, so by Weyl's
-    bound :func:`mpmath.eighe` needs log2(trace^k / det) bits above ``bits``.
+    bound :func:`mpmath.eighe` needs log2(trace^k / det) bits above those.
     At beta = 1 (det = 0) the eigenvalues of H are exactly trace and 0.
     """
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
+    level = ladder_level((target_digits + 2) * math.log2(10))
+    if level is None:
+        raise ConvergenceFailureError(f"{target_digits}-digit singular values need "
+                                      "more bits than the precision ladder's top")
+    bits = level + 32
     started = time.perf_counter()
     x = QComplex(Fraction(1)) / beta.value
     r2 = x.abs2()
@@ -391,9 +399,9 @@ def quasi_normality_gap(beta: BetaParam, n: int) -> mp.mpf:
     """Mean index-paired gap between sorted singular values and |eigenvalues|.
 
     (1/n) * sum_i |sigma_i - |lambda_i|| with both lists sorted nonincreasing,
-    singular values at ``DEFAULT_PRECISION_BITS`` and eigenvalues at
-    ``DEFAULT_EIG_DIGITS``.  Tends to 0 for |beta| >= 1 as the order grows (asymptotic normality of
-    the sequence even though every single matrix is non-normal).
+    both to ``DEFAULT_EIG_DIGITS`` digits.  Tends to 0 for |beta| >= 1 as the
+    order grows (asymptotic normality of the sequence even though every single
+    matrix is non-normal).
     """
     if beta.abs2() < 1:
         raise InvalidParameterError("quasi-normality gap requires |beta| >= 1")
@@ -415,8 +423,8 @@ class ConditionReport:
 def condition_bound_check(beta: BetaParam, n: int) -> ConditionReport:
     """Spectral-norm conditioning against the [max(beta-1, 1/(beta-1))]^2 bound.
 
-    kappa = sigma_max / sigma_min at ``DEFAULT_PRECISION_BITS``; satisfied
-    when kappa >= (1 - ``CONDITION_BOUND_TOL``) * bound.
+    kappa = sigma_max / sigma_min from singular values to ``DEFAULT_EIG_DIGITS``
+    digits; satisfied when kappa >= (1 - ``CONDITION_BOUND_TOL``) * bound.
     """
     beta.require_class([REAL_GT1], "conditioning bound")
     sv = singular_values(beta, n)

@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 import betaspec
-from betaspec import BetaParam, charpoly_closed_form
+from betaspec import BetaParam, build_beta_matrix, charpoly_closed_form
 from betaspec.cli import COMMANDS, FLAGS, build_parser, run
 from betaspec.spectra import eigenvalues
 
@@ -167,17 +167,20 @@ def test_usage_errors():
     assert run(["eigs", "--beta", "3", "--n", "0"]) == 2
     assert run(["eigs", "--beta", "3", "--n", "4", "--digits", "0"]) == 2
     assert run(["eigs", "--beta", "0", "--n", "4"]) == 2
-    assert run(["singvals", "--beta", "2", "--n", "4", "--prec", "32"]) == 2
     with pytest.raises(SystemExit) as exc:
         run(["reproduce", "not-a-target"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["eigs", "--beta", "3", "--n", "4", "--frobnicate"])
     assert exc.value.code == 2
-    # --prec and --exact are accepted only by the commands that read them
+    # --digits sets the working precision: no command takes --prec
     with pytest.raises(SystemExit) as exc:
         run(["eigs", "--beta", "3", "--n", "4", "--prec", "512"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["singvals", "--beta", "2", "--n", "4", "--prec", "32"])
+    assert exc.value.code == 2
+    # --exact is accepted only by the commands that read it
     with pytest.raises(SystemExit) as exc:
         run(["cluster", "--beta", "3", "--n", "4", "--exact"])
     assert exc.value.code == 2
@@ -230,13 +233,12 @@ FLAG_CASES = [
     ("outliers", "--out", None, "{out}/o.csv", ()),
     ("outliers", "--eps", "0.05", "0.9", ()),
     ("singvals", "--digits", "10", "20", ()),
-    ("singvals", "--prec", "64", "256", ("--digits", "40")),
     ("singvals", "--format", "csv", "json", ()),
     ("singvals", "--out", None, "{out}/s.csv", ()),
     ("weyl", "--format", "csv", "json", ()),
     ("weyl", "--out", None, "{out}/w.csv", ()),
     ("weyl", "--kind", "eigen", "singular", ()),
-    ("beta1", "--digits", "5", "10", ()),
+    ("beta1", "--digits", "10", "20", ()),
     ("beta1", "--format", "csv", "json", ()),
     ("beta1", "--out", None, "{out}/b.csv", ()),
     ("reproduce", "--n", "10", "20", ("--out", "{out}")),
@@ -317,10 +319,11 @@ def test_eigs_certifies_700_digits_above_2048_bits(capsys):
         assert all(r <= tol * (1 + abs(z)) for z, r in zip(rs.roots, rs.radii))
 
 
-@pytest.mark.parametrize("command", ["eigs", "outliers"])
+@pytest.mark.parametrize("command", ["eigs", "outliers", "singvals"])
 def test_digits_beyond_the_ladder_top_exit_1(capsys, caplog, command):
     # 2500 digits need about 8305 bits, more than the 8192-bit top level;
-    # the sparse route raises without handing over to the Aberth ladder
+    # the sparse route raises without handing over to the Aberth ladder, and
+    # singvals refuses before it computes
     with caplog.at_level(logging.DEBUG, logger="betaspec"):
         code, out, err = _run(capsys, command, "--beta=4/3", "--n", "10", "--digits", "2500")
     assert code == 1 and out == ""
@@ -367,6 +370,21 @@ def test_debug_logging_leaves_stdout_unchanged(caplog, capsys):
         assert logged == quiet
         assert any(r.getMessage().startswith(record) and "bits=" in r.getMessage()
                    for r in caplog.records)
+
+
+def test_singvals_digits_set_the_precision(capsys):
+    # 100 digits are computed at 544 bits where 30 digits take 288; the
+    # reference is mp.eighe on the dense Gram matrix B*B at 1024 bits
+    beta, n = BetaParam.parse("4/3"), 8
+    code, out, _ = _run(capsys, "singvals", "--beta=4/3", "--n", str(n), "--digits", "100")
+    assert code == 0
+    with mp.workprec(1024):
+        dense = mp.matrix(build_beta_matrix(beta, n).dense_mp(1024))
+        evs = mp.eighe(dense.H * dense, eigvals_only=True)
+        ref = sorted((mp.sqrt(max(ev, 0)) for ev in evs), reverse=True)
+        got = [mp.mpf(s) for s in out.split()]
+        assert len(got) == n
+        assert max(abs(a / b - 1) for a, b in zip(got, ref)) < mp.mpf(10) ** -98
 
 
 def test_singvals_beta_one_prints_exact_zero(capsys):

@@ -334,6 +334,24 @@ def test_aberth_route_refuses_a_duplicated_root(monkeypatch):
     assert len(exc.value.best) == 20
 
 
+@pytest.mark.parametrize("beta_text", ["4/3", "1/2", "5/3+2/3i"])
+def test_aberth_route_separates_coinciding_warm_starts(monkeypatch, beta_text):
+    # two equal seeds meet the tie guard of the first sweep and still certify
+    poly = PrecPoly(coeffs=charpoly_closed_form(BetaParam.parse(beta_text), 20).coeffs)
+    ref = solve_all(poly, 30)
+    warm_start = rootfind._float_warm_start
+
+    def coinciding(coeffs, starts):
+        z = warm_start(coeffs, starts)
+        z[1] = z[0]
+        return z
+
+    monkeypatch.setattr(rootfind, "_float_warm_start", coinciding)
+    rs = solve_all(poly, 30)
+    with mp.workprec(rs.precision_used):
+        assert max(abs(a - b) for a, b in zip(rs.roots, ref.roots)) < mp.mpf(10) ** -30
+
+
 # ---------------------------------------------------------------------------
 # Sparse route: Newton on the five-term form, certified by inclusion disks
 # ---------------------------------------------------------------------------
