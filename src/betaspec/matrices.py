@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InvalidOrderError, InvalidParameterError
 from .numerics import (
     DEFAULT_PRECISION_BITS,
@@ -162,6 +160,7 @@ class BetaMatrix:
 
     def dense_numpy(self) -> np.ndarray:
         """Dense float64/complex128 materialization for cross-checks."""
+        import numpy as np
         rows = self.dense_exact()
         if self.beta.is_real:
             return np.array([[float(x) for x in row] for row in rows], dtype=float)

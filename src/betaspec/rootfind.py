@@ -31,6 +31,9 @@ deterministic.
 Single real roots (the outliers) are refined by Newton iteration on the
 five-term sparse form of p_n as well, each certified by a sign change in
 interval arithmetic (:func:`refine_real_root_reported`) on the same ladder.
+
+numpy (and scipy) are imported inside the functions that use them, so a
+process that only refines or counts outliers never loads them.
 """
 from __future__ import annotations
 
@@ -43,7 +46,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import fone, mpc_add, mpc_mpf_div, mpc_sub
 
 from .errors import (
@@ -159,6 +161,7 @@ def _float_warm_start(coeffs, starts) -> list | None:
     """Guarded float64 Aberth from ``starts``; None if unusable.  A root
     whose correction is not finite keeps its iterate, and iterates that
     coincide are left to :func:`_aberth_level`'s tie guard."""
+    import numpy as np
     try:
         c = np.array([complex(x) for x in coeffs], dtype=np.complex128)
     except (OverflowError, TypeError, ValueError):
@@ -278,6 +281,7 @@ def _disjoint(zeros, rho) -> tuple[bool, float]:
     computed distance is off by a few ulps, which the margin
     2**-48 (1 + |z_j| + |z_k|) covers; the radii are rounded up.
     """
+    import numpy as np
     c = np.array([complex(z) for z in zeros])
     r = np.array([float(x) * (1 + 2.0 ** -50) + 1e-300 for x in rho])
     with np.errstate(all="ignore"):
@@ -358,6 +362,7 @@ def _phase_seeds(form: SparseForm) -> list:
     a float and stands for itself, a complex one (positive imaginary part)
     for itself and its conjugate.
     """
+    import numpy as np
     n, real = form.n, form.is_real
     a0, a1, b0, b1, b2 = (complex(c) for c in form.coeffs)
 
@@ -657,6 +662,7 @@ def optimal_match_distance(a: Sequence, b: Sequence) -> float:
     assignment problem on |a_i - b_j| (float64 resolution, which is what the
     cross-check tolerances ask for).
     """
+    import numpy as np
     if len(a) != len(b):
         raise InvalidParameterError("multisets must have equal size")
     av = np.array([complex(x) for x in a])

@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import mpmath as mp
-import numpy as np
 
 from .errors import (
     ConvergenceFailureError,
@@ -39,7 +38,6 @@ from .errors import (
 from .charpoly import charpoly_closed_form, sparse_form
 from .matrices import REAL_GT1, BetaParam
 from .numerics import (
-    DEFAULT_PRECISION_BITS,
     QComplex,
     decimal_str,
     mpc_from,
@@ -219,6 +217,15 @@ def _geometric(z, m: int):
     return z * (1 - z ** m) / d if d else m
 
 
+def _singvals_bits(target_digits: int) -> int:
+    """The working precision of :func:`singular_values` at ``target_digits``."""
+    level = ladder_level((target_digits + 2) * math.log2(10))
+    if level is None:
+        raise ConvergenceFailureError(f"{target_digits}-digit singular values need "
+                                      "more bits than the precision ladder's top")
+    return level + 32
+
+
 def singular_values(beta: BetaParam, n: int, target_digits: int = DEFAULT_EIG_DIGITS) -> list:
     """Singular values of the order-n member, sorted nonincreasing, each to
     ``target_digits`` significant digits: to L + 32 bits, for the ladder level
@@ -236,11 +243,7 @@ def singular_values(beta: BetaParam, n: int, target_digits: int = DEFAULT_EIG_DI
     """
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
-    level = ladder_level((target_digits + 2) * math.log2(10))
-    if level is None:
-        raise ConvergenceFailureError(f"{target_digits}-digit singular values need "
-                                      "more bits than the precision ladder's top")
-    bits = level + 32
+    bits = _singvals_bits(target_digits)
     started = time.perf_counter()
     x = QComplex(Fraction(1)) / beta.value
     r2 = x.abs2()
@@ -304,6 +307,7 @@ def _radial_plateau(r: float) -> float:
 
 
 def _arc_indicator(z: complex) -> float:
+    import numpy as np
     if z == 0:
         return 0.0
     theta = abs(np.angle(z))
@@ -382,6 +386,7 @@ def weyl_sum(values: Sequence, fn, kind: str) -> WeylReport:
     mean of F (``TestFunction.mean``); ``kind='singular'`` compares
     (1/n) sum F(sigma_i) to F(1).
     """
+    import numpy as np
     if kind not in ("eigen", "singular"):
         raise InvalidParameterError(f"kind must be 'eigen' or 'singular', got {kind!r}")
     if len(values) == 0:
@@ -399,15 +404,16 @@ def quasi_normality_gap(beta: BetaParam, n: int) -> mp.mpf:
     """Mean index-paired gap between sorted singular values and |eigenvalues|.
 
     (1/n) * sum_i |sigma_i - |lambda_i|| with both lists sorted nonincreasing,
-    both to ``DEFAULT_EIG_DIGITS`` digits.  Tends to 0 for |beta| >= 1 as the
-    order grows (asymptotic normality of the sequence even though every single
-    matrix is non-normal).
+    both to ``DEFAULT_EIG_DIGITS`` digits, summed at the singular values'
+    working precision.  Tends to 0 for |beta| >= 1 as the order grows
+    (asymptotic normality of the sequence even though every single matrix is
+    non-normal).
     """
     if beta.abs2() < 1:
         raise InvalidParameterError("quasi-normality gap requires |beta| >= 1")
     sv = singular_values(beta, n)
     lam = eigenvalues(beta, n)
-    with with_precision(DEFAULT_PRECISION_BITS):
+    with with_precision(_singvals_bits(DEFAULT_EIG_DIGITS)):
         moduli = sorted((abs(z) for z in lam.roots), reverse=True)
         total = mp.fsum(abs(sv[i] - moduli[i]) for i in range(n))
         return total / n
@@ -424,11 +430,12 @@ def condition_bound_check(beta: BetaParam, n: int) -> ConditionReport:
     """Spectral-norm conditioning against the [max(beta-1, 1/(beta-1))]^2 bound.
 
     kappa = sigma_max / sigma_min from singular values to ``DEFAULT_EIG_DIGITS``
-    digits; satisfied when kappa >= (1 - ``CONDITION_BOUND_TOL``) * bound.
+    digits, divided at their working precision; satisfied when
+    kappa >= (1 - ``CONDITION_BOUND_TOL``) * bound.
     """
     beta.require_class([REAL_GT1], "conditioning bound")
     sv = singular_values(beta, n)
-    with with_precision(DEFAULT_PRECISION_BITS):
+    with with_precision(_singvals_bits(DEFAULT_EIG_DIGITS)):
         smin = sv[-1]
         if smin == 0:
             raise SingularityError(

@@ -44,6 +44,31 @@ REFERENCE_OUTPUTS = (
      "weyl.csv", "bed56b8903974e49135ac2b30f410710544b155359ac336450d882fefaa344ab"),
     (("reproduce", "table1", "--out", "{out}"), "table1.csv",
      "7d8d4628923bf7501715fc35ca77e03c8518301cdbf65b06cb351efea1c4e4d8"),
+    # the sparse route: float64 phase seeds and the disjointness test
+    (("eigs", "--beta=4/3", "--n", "100", "--out", "{out}/eigs.csv"),
+     "eigs.csv", "8ff2a2edbd11728a2a6ffa5168cba3d80571dd58e2bcdd29e4f120774f763352"),
+    # declines the sparse route (seeds=42): the float64 Aberth warm start
+    (("eigs", "--beta=1/2", "--n", "40", "--out", "{out}/eigs.csv"),
+     "eigs.csv", "1af49f9d9d1360815b7f39b496cac8e549728376e93292888ca34f583262b29d"),
+    (("cluster", "--beta=4/3", "--n", "60", "--out", "{out}/cluster.csv"),
+     "cluster.csv", "e2d25af205ee9d750ad82b1ee7828e5fcfe3e47f8ec7971d0de0268bbc1ac434"),
+)
+
+# Commands run in a fresh process, and whether they load numpy.  Only the
+# eigensolver (eigs, cluster, weyl, the figure targets) calls it, and no
+# command calls scipy; the import is most of a process's start-up.
+NUMPY_USE = (
+    ((), False),
+    (("outliers", "--beta=4/3", "--n", "100", "--digits", "50"), False),
+    (("charpoly", "--beta=4/3", "--n", "20"), False),
+    (("singvals", "--beta=4/3", "--n", "100"), False),
+    (("beta1", "--n", "50"), False),
+    (("matrix", "--beta=4/3", "--n", "5"), False),
+    (("reproduce", "table1"), False),
+    (("reproduce", "table2"), False),
+    (("reproduce", "outlier-digits"), False),
+    # positive control: the check does see numpy when a command loads it
+    (("eigs", "--beta=4/3", "--n", "30"), True),
 )
 
 
@@ -61,13 +86,20 @@ def test_help_lists_every_command():
         assert cmd in text
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only optimal_match_distance, which no command calls; its
-    # import would be most of the CLI's start-up time
+@pytest.mark.parametrize("argv,loads_numpy", NUMPY_USE,
+                         ids=["import", "outliers", "charpoly", "singvals", "beta1", "matrix",
+                              "table1", "table2", "outlier-digits", "eigs"])
+def test_cli_loads_numpy_only_where_used(tmp_path, argv, loads_numpy):
     src = str(Path(betaspec.__file__).resolve().parents[1])
-    code = "import sys, betaspec.cli; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+    code = ("import sys\n"
+            "from betaspec import cli\n"
+            "cli.build_parser()\n"
+            f"assert not {list(argv)!r} or cli.run({list(argv)!r}) == 0\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines()[-1] == str(["numpy"] if loads_numpy else [])
 
 
 def test_matrix_exact_csv(capsys):
@@ -451,7 +483,8 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,name,digest", REFERENCE_OUTPUTS,
                          ids=["reproduce", "singvals", "outliers", "outliers-4096bit",
-                              "beta1", "singvals-n1600", "weyl", "table1"])
+                              "beta1", "singvals-n1600", "weyl", "table1",
+                              "eigs-sparse", "eigs-aberth", "cluster"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
