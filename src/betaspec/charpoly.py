@@ -170,11 +170,6 @@ class SparseForm:
         """(a0, a1, b0, b1, b2), the five exact coefficients."""
         return self.a + self.b
 
-    def coeffs_mp(self) -> list:
-        """The five coefficients as mpf (real beta) or mpc at the ambient precision."""
-        conv = mpf_from if self.is_real else mpc_from
-        return [conv(c) for c in self.coeffs]
-
     def offset_small(self, t):
         """t - (beta - 1) at a zero t of p_n, as beta t**n b(t).
 
@@ -248,8 +243,9 @@ def eval_sparse(cs: Sequence, n: int, t) -> tuple:
     """(f(t), f'(t)) of f = a + t**n b from the five coefficients ``cs``
     (a0, a1, b0, b1, b2), with t**(n-1) by squaring.
 
-    Generic over the arithmetic of ``t`` and ``cs``: mpf, mpc or mpmath
-    intervals (``mp.iv``), each operation rounded as that arithmetic rounds.
+    Generic over the arithmetic of ``t`` and ``cs``: mpf, mpc, mpmath
+    intervals (``mp.iv``) or fixed-point :class:`~betaspec.numerics.Fixed`,
+    each operation rounded as that arithmetic rounds.
     """
     a0, a1, b0, b1, b2 = cs
     tn1 = t ** (n - 1)

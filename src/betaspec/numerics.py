@@ -1,6 +1,7 @@
-"""Scalar arithmetic contracts: exact rationals and precision-tracked floats.
+"""Scalar arithmetic contracts: exact rationals, precision-tracked floats and
+fixed-point integers.
 
-Two scalar kinds flow through the package:
+Three scalar kinds flow through the package:
 
 * exact rationals -- ``fractions.Fraction`` (re-exported as
   :data:`ExactRational`) plus :class:`QComplex` for complex numbers with
@@ -9,6 +10,11 @@ Two scalar kinds flow through the package:
 * arbitrary-precision reals and complexes -- mpmath ``mpf``/``mpc`` carried
   at an explicit precision in bits, never below
   :data:`MIN_PRECISION_BITS`.
+* fixed-point complexes -- :class:`Fixed`, a pair of Python integers at the
+  scale 2**-p, each operation rounded to the nearest multiple of 2**-p.  It
+  is Newton's arithmetic on the five-term form: the same operations as mpc
+  without mpmath's per-object dispatch.  Values enter by :func:`fixed_from`
+  and leave as mpf or mpc at the ambient precision.
 
 Precision does not live in hidden mutable state: every routine that computes
 at precision P does so inside :func:`with_precision` and hands back plain
@@ -22,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpc_add, mpc_mul, mpf_add, mpf_mul
+from mpmath.libmp import from_man_exp, fzero, mpc_add, mpc_mul, mpf_add, mpf_mul
+from mpmath.libmp.libmpi import mpi_shift
 
 from .errors import InvalidParameterError, PrecisionError
 
@@ -223,13 +230,120 @@ def iv_from(z):
     """``z`` (exact rational, QComplex, mpf or mpc) as an ``mp.iv`` interval,
     rounded outward at ``mp.iv.prec``, which :func:`with_precision` sets."""
     iv = mp.iv
-    if isinstance(z, (Fraction, QComplex)):
-        re, im = (z.re, z.im) if isinstance(z, QComplex) else (z, None)
-        re = iv.mpf(re.numerator) / re.denominator
-        return re if im is None else iv.mpc(re, iv.mpf(im.numerator) / im.denominator)
+    if isinstance(z, QComplex):
+        return iv.mpc(_iv_rational(z.re), _iv_rational(z.im))
+    if isinstance(z, Fraction):
+        return _iv_rational(z)
     if isinstance(z, mp.mpc):
         return iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
     return iv.mpf(z)
+
+
+def _iv_rational(x: Fraction):
+    # num / (odd * 2**s) as (num / odd) * 2**-s, for the reason mpf_from
+    # gives: the same endpoints as iv.mpf(num) / den, without the quadratic
+    # stripping of den's trailing zero bits
+    den = x.denominator
+    s = (den & -den).bit_length() - 1
+    q = mp.iv.mpf(x.numerator) / (den >> s)
+    return mp.iv.make_mpf(mpi_shift(q._mpi_, -s))
+
+
+class Fixed:
+    """The complex number (re + i im) 2**-p, with re and im Python integers.
+
+    ``+`` and ``-`` are exact, and so is ``*`` by an int; ``*``, ``/`` and
+    ``**`` round each part to the nearest multiple of 2**-p, and keep a real
+    value (im = 0) exactly real.  These are the operations of
+    :func:`~betaspec.charpoly.eval_sparse` and of Newton's step on it, where
+    an int stands for itself in ``n * b``, ``1 - t`` and ``1 / z``.
+    """
+
+    __slots__ = ("re", "im", "p")
+
+    def __init__(self, re: int, im: int, p: int):
+        self.re, self.im, self.p = re, im, p
+
+    def __add__(self, x):
+        return Fixed(self.re + x.re, self.im + x.im, self.p)
+
+    def __sub__(self, x):
+        return Fixed(self.re - x.re, self.im - x.im, self.p)
+
+    def __rsub__(self, x: int):
+        return Fixed((x << self.p) - self.re, -self.im, self.p)
+
+    def __mul__(self, x):
+        a, b, p = self.re, self.im, self.p
+        if isinstance(x, int):
+            return Fixed(a * x, b * x, p)
+        c, d, half = x.re, x.im, 1 << (p - 1)
+        return Fixed((a * c - b * d + half) >> p, (a * d + b * c + half) >> p, p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, x):
+        a, b, c, d, p = self.re, self.im, x.re, x.im, self.p
+        den = c * c + d * d  # 0 raises ZeroDivisionError
+        return Fixed(_round_div((a * c + b * d) << p, den),
+                     _round_div((b * c - a * d) << p, den), p)
+
+    def __rtruediv__(self, x: int):
+        return Fixed(x << self.p, 0, self.p) / self
+
+    def __pow__(self, k: int):
+        out, base = Fixed(1 << self.p, 0, self.p), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            base = base * base if k else base
+        return out
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def abs2(self) -> int:
+        """|self|**2 exactly, at the scale 2**-2p."""
+        return self.re * self.re + self.im * self.im
+
+    def rounded(self, bits: int) -> "Fixed":
+        """Each part rounded to nearest at ``bits`` significant bits."""
+        return Fixed(_round_bits(self.re, bits), _round_bits(self.im, bits), self.p)
+
+    def to_mp(self, real: bool):
+        """The real part as mpf if ``real``, else the value as mpc, rounded
+        to the ambient precision."""
+        prec, rnd = mp.mp._prec_rounding
+        re = from_man_exp(self.re, -self.p, prec, rnd)
+        if real:
+            return mp.make_mpf(re)
+        return mp.make_mpc((re, from_man_exp(self.im, -self.p, prec, rnd)))
+
+
+def fixed_from(x, p: int) -> Fixed:
+    """``x`` (Fraction, QComplex, float, complex, mpf or mpc) as a
+    :class:`Fixed` at the scale 2**-p, each part rounded to nearest by one
+    exact integer division."""
+    if isinstance(x, (complex, mp.mpc, QComplex)):
+        re, im = (x.re, x.im) if isinstance(x, QComplex) else (x.real, x.imag)
+        return Fixed(_fixed_part(re, p), _fixed_part(im, p), p)
+    return Fixed(_fixed_part(x, p), 0, p)
+
+
+def _fixed_part(x, p: int) -> int:
+    num, den = (fraction_from_mpf(x) if isinstance(x, mp.mpf) else x).as_integer_ratio()
+    return _round_div(num << p, den)
+
+
+def _round_div(u: int, v: int) -> int:
+    """The integer nearest to u / v (v > 0), ties up."""
+    return (u + (v >> 1)) // v
+
+
+def _round_bits(v: int, bits: int) -> int:
+    drop = abs(v).bit_length() - bits
+    return v if drop <= 0 else ((v + (1 << (drop - 1))) >> drop) << drop
 
 
 def polyval(hi, x):

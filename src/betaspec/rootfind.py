@@ -12,11 +12,13 @@ exactly one zero) and of radius at most 10**-D (1 + |z|).
   than 1 and beta, are seeded from the phase equation t**n = -a(t)/b(t)
   near the unit circle and from the zeros of a and b off it, then polished
   by Newton on the five-term form at O(log n) operations per step (for
-  real beta, on the closed upper half-plane only).  Their n disks, f's own,
-  must also exclude the points 1 and beta; a real eigenvalue is returned
-  with imaginary part exactly 0.  If the seeds are not n or no level
-  certifies, the route logs why and the Aberth ladder runs instead (a
-  target beyond the ladder's top raises at once).
+  real beta, on the closed upper half-plane only).  Newton runs in
+  fixed-point integers (:class:`~betaspec.numerics.Fixed`): it only moves
+  the centres, and the disks that certify them are bounded in ``mp.iv``.
+  Their n disks, f's own, must also exclude the points 1 and beta; a real
+  eigenvalue is returned with imaginary part exactly 0.  If the seeds are
+  not n or no level certifies, the route logs why and the Aberth ladder
+  runs instead (a target beyond the ladder's top raises at once).
 * The Ehrlich-Aberth ladder, for every other polynomial: simultaneous
   iteration (no deflation, so the unit-circle cluster stays coupled) from
   degree-many points on the circles of the Newton polygon of log|c_k|;
@@ -28,8 +30,8 @@ exactly one zero) and of radius at most 10**-D (1 + |z|).
 Identical inputs give identical digit strings: everything is sequential and
 deterministic.
 
-Single real roots (the outliers) are refined by Newton iteration on the
-five-term sparse form of p_n as well, each certified by a sign change in
+Single real roots (the outliers) are refined by the same fixed-point Newton
+on the five-term sparse form of p_n, each certified by a sign change in
 interval arithmetic (:func:`refine_real_root_reported`) on the same ladder.
 
 numpy (and scipy) are imported inside the functions that use them, so a
@@ -55,7 +57,15 @@ from .errors import (
 )
 from .charpoly import PrecPoly, SparseForm, eval_sparse, sparse_form
 from .matrices import BetaParam
-from .numerics import decimal_str, iv_from, mpc_from, mpf_from, polyval, with_precision
+from .numerics import (
+    decimal_str,
+    fixed_from,
+    iv_from,
+    mpc_from,
+    mpf_from,
+    polyval,
+    with_precision,
+)
 
 log = logging.getLogger("betaspec")
 
@@ -124,7 +134,13 @@ def ladder_level(target_bits: float) -> int | None:
 def _ladder(target_bits: float) -> tuple:
     """The levels of ``PRECISION_LADDER`` that a computation needing
     ``target_bits`` climbs: :func:`ladder_level` and up to three past it, or
-    all of them if no level is that high."""
+    all of them if no level is that high.
+
+    The prefix always starts at 256 bits and skips no level below the
+    target.  Each level's Newton (or Aberth) starts from the last level's
+    iterates, so the iterates a level certifies depend on the levels below
+    it; climbing all of them keeps every certified output (its digits,
+    residuals and precision) on the levels it came from before."""
     first = ladder_level(target_bits)
     return PRECISION_LADDER[:PRECISION_LADDER.index(first) + 4] if first else PRECISION_LADDER
 
@@ -407,24 +423,52 @@ def _phase_seeds(form: SparseForm) -> list:
     return seeds
 
 
-def _newton(cs, n: int, t, tol, x=None):
+def _newton(cs, n: int, t, prec: int, x=None):
     """Newton on f = a + t**n b from ``t`` until the step is at most
-    tol (1 + |t|); given x = 1/beta, Newton on p_n = f / ((1 - t)(1 - x t)),
-    with the spurious zeros 1 and beta divided out of the step.  Returns
-    (root, steps, settled); a step that meets a pole or a vanishing
-    derivative does not settle."""
+    2**-(prec - 32) (1 + |t|); given x = 1/beta, Newton on
+    p_n = f / ((1 - t)(1 - x t)), with the spurious zeros 1 and beta divided
+    out of the step.
+
+    It runs in fixed-point integers (:class:`~betaspec.numerics.Fixed`) at
+    the scale 2**-(prec + 32): ``cs`` (a0, a1, b0, b1, b2) and ``x`` come
+    from :func:`~betaspec.numerics.fixed_from` at that scale, and the settle
+    test is decided exactly in integers.  Only the iterate comes from here;
+    the certificates that accept it stay in ``mp.iv``.  Each step is rounded
+    to prec + 32 significant bits, as an mpc step was: its bits below that
+    are rounding noise, and without them a large step leaves the iterate on
+    a coarse dyadic grid, from which Newton lands on a short dyadic zero
+    (such as -3/2) exactly.
+
+    Returns (root, steps, settled), the root rounded to the ambient
+    precision: an mpf for a real ``t`` (float or mpf) on a real form, else
+    an mpc.  A step that meets a pole or a vanishing derivative does not
+    settle.
+    """
+    p = prec + 32
+    real = isinstance(t, (float, mp.mpf))
+    t = fixed_from(t, p)
+    one = 1 << p
+    settled = False
     for steps in range(1, MAX_NEWTON_STEPS_PER_LEVEL + 1):
         f, df = eval_sparse(cs, n, t)
-        if f == 0:
-            return t, steps, True
+        if not f:
+            settled = True
+            break
         try:
-            step = f / df if x is None else 1 / (df / f + 1 / (1 - t) + x / (1 - x * t))
+            step = (f / df if x is None
+                    else 1 / (df / f + 1 / (1 - t) + x / (1 - x * t))).rounded(p)
         except ZeroDivisionError:
-            return t, steps, False
+            break
         t = t - step
-        if abs(step) <= tol * (1 + abs(t)):
-            return t, steps, True
-    return t, MAX_NEWTON_STEPS_PER_LEVEL, False
+        # |step| <= 2**-(prec - 32) (1 + |t|), times 2**p: with
+        # A = 2**(2(prec - 32)) |step|**2 and B = |t|**2 (scaled by 2**2p),
+        # sqrt A <= 2**p + sqrt B, squared twice
+        t2 = t.abs2()
+        excess = (step.abs2() << 2 * (prec - 32)) - t2 - one * one
+        if excess <= 0 or excess * excess <= 4 * one * one * t2:
+            settled = True
+            break
+    return t.to_mp(real and not t.im), steps, settled
 
 
 def _inclusion_disks(form: SparseForm, roots: list):
@@ -506,9 +550,8 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     for prec in ladder:
         started = time.perf_counter()
         with with_precision(prec + 32):
-            cs = form.coeffs_mp()
-            tol = mp.mpf(2) ** (-(prec - 32))
-            z, steps, settled = zip(*(_newton(cs, d, mp.mpmathify(t), tol) for t in z))
+            cs = [fixed_from(c, prec + 32) for c in form.coeffs]
+            z, steps, settled = zip(*(_newton(cs, d, t, prec) for t in z))
             steps, settled = max(steps), all(settled)
             zeros = rho = min_gap = None
             if settled:
@@ -610,11 +653,11 @@ def refine_real_root_reported(form: SparseForm, seed,
     for prec in ladder:
         started = time.perf_counter()
         with with_precision(prec + 32):
-            cs = form.coeffs_mp()
-            x = mpf_from(form.x)
-            t = +best if best is not None else mpf_from(_to_real_seed(seed))
+            cs = [fixed_from(c, prec + 32) for c in form.coeffs]
+            x = fixed_from(form.x, prec + 32)
+            t = best if best is not None else mpf_from(_to_real_seed(seed))
             tol = mp.mpf(2) ** (-(prec - 32))
-            t, steps, settled = _newton(cs, n, t, tol, x)
+            t, steps, settled = _newton(cs, n, t, prec, x)
             if settled and abs(t) <= tol:  # the zero at t = 0 (beta = 1)
                 t = mp.mpf(0)
             u = mp.mpf(10) ** (-(target_digits + 2)) * (abs(t) or 1) / n

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betaspec import (
@@ -30,7 +30,7 @@ from betaspec import (
     symbolic_t,
 )
 from betaspec.charpoly import eval_sparse
-from betaspec.numerics import QComplex, mpc_from, polyval
+from betaspec.numerics import QComplex, fixed_from, mpc_from, mpf_from, polyval
 
 BETAS = [BetaParam.parse(s) for s in ("4/3", "3/2", "2", "3", "5")]
 
@@ -302,7 +302,7 @@ def test_sparse_eval_matches_dense_horner(beta, n, t):
     dense = _times_spurious_factors(beta, n)
     with mp.workprec(512):
         tv = mp.mpf(t.numerator) / t.denominator
-        cs = form.coeffs_mp()
+        cs = [(mpf_from if form.is_real else mpc_from)(c) for c in form.coeffs]
         f, df = eval_sparse(cs, n, tv)
         hi = [mpc_from(c) for c in reversed(dense)]
         dhi = [mpc_from(c * k) for k, c in reversed(list(enumerate(dense))) if k]
@@ -311,6 +311,41 @@ def test_sparse_eval_matches_dense_horner(beta, n, t):
         bound = 8 * (n + 4) * mp.mpf(2) ** -512
         assert abs(f - polyval(hi, mpc_from(tv))) <= bound * absf
         assert abs(df - polyval(dhi, mpc_from(tv))) <= bound * absdf
+
+
+@settings(max_examples=80, deadline=None)
+@given(beta=SPARSE_BETAS, n=st.integers(min_value=1, max_value=80),
+       re=st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+       im=st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+       p=st.sampled_from([288, 544]))
+def test_sparse_eval_on_fixed_point_matches_mpc(beta, n, re, im, p):
+    # The same t (a multiple of 2**-p, |t| <= 3) on both arithmetics.  mpc
+    # rounds each operation relative to its result and Fixed to an absolute
+    # 2**-p, so a power of t below 1 costs Fixed as much as one at |t| = 1.
+    # With the sum of |term| taken at r = max(1, |t|), each evaluation is off
+    # the exact value by at most 4 (n + 4) 2**-p times that sum (a running-
+    # error bound; complex products round two parts), so the two differ by
+    # at most twice that.
+    assume(re * re + im * im <= 9)
+    form = sparse_form(beta, n)
+    t = fixed_from(QComplex(re, im), p)
+    f, df = eval_sparse([fixed_from(c, p) for c in form.coeffs], n, t)
+    with mp.workprec(p + 8):
+        tv = t.to_mp(real=False)  # exact: |t| < 4
+    with mp.workprec(p):
+        f_mp, df_mp = eval_sparse([mpc_from(c) for c in form.coeffs], n, tv)
+    with mp.workprec(4 * p):  # wide enough to hold either value exactly
+        a0, a1, b0, b1, b2 = (abs(mpc_from(c)) for c in form.coeffs)
+        r = max(mp.mpf(1), abs(tv))
+        absf = a0 + a1 * r + r ** n * (b0 + b1 * r + b2 * r * r)
+        absdf = a1 + r ** (n - 1) * (n * b0 + (n + 1) * b1 * r + (n + 2) * b2 * r * r)
+        bound = 8 * (n + 4) * mp.mpf(2) ** -p
+        assert abs(_exact(f, p) - f_mp) <= bound * absf
+        assert abs(_exact(df, p) - df_mp) <= bound * absdf
+
+
+def _exact(z, p):
+    return mp.mpc(mp.ldexp(z.re, -p), mp.ldexp(z.im, -p))
 
 
 def test_sparse_form_is_closed_form_in_x():

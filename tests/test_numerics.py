@@ -15,7 +15,7 @@ from betaspec import (
     parse_scalar,
     with_precision,
 )
-from betaspec.numerics import mpc_from, mpf_from, polyval
+from betaspec.numerics import iv_from, mpc_from, mpf_from, polyval
 
 
 def test_min_precision_enforced():
@@ -168,6 +168,15 @@ def test_mpc_from_qcomplex_matches_direct_division(re, im, bits):
         expected = ((mp.mpf(re.numerator) / re.denominator)._mpf_,
                     (mp.mpf(im.numerator) / im.denominator)._mpf_)
         assert mpc_from(QComplex(re, im))._mpc_ == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=fractions_with_dyadic_denominators(), bits=BITS)
+def test_iv_from_fraction_matches_direct_division(x, bits):
+    with with_precision(bits):
+        expected = mp.iv.mpf(x.numerator) / x.denominator
+        assert iv_from(x)._mpi_ == expected._mpi_
+        assert iv_from(QComplex(x, -x))._mpci_ == (expected._mpi_, (-expected)._mpi_)
 
 
 _small_fractions = st.fractions(min_value=-7, max_value=7, max_denominator=10 ** 6)

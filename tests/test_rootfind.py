@@ -24,7 +24,14 @@ from betaspec import (
     sparse_form,
 )
 from betaspec import rootfind
-from betaspec.numerics import QComplex, decimal_str, fraction_from_mpf, mpc_from, with_precision
+from betaspec.numerics import (
+    QComplex,
+    decimal_str,
+    fixed_from,
+    fraction_from_mpf,
+    mpc_from,
+    with_precision,
+)
 from betaspec.rootfind import _aberth_level, _polygon_starts, _sign_change, _solve_sparse
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
@@ -189,6 +196,21 @@ def test_sign_change_certificate_brackets_only_a_root():
         assert not _sign_change(form, root + 3 * u, u)
         # the spurious zero t = beta of (1 - t)(1 - t/beta) p_n is no root of p_n
         assert not _sign_change(form, mp.mpf(4) / 3, u)
+
+
+def test_newton_returns_mpf_for_a_real_seed_and_mpc_for_a_complex_one():
+    # a real seed on a real form stays exactly real; a complex seed, even
+    # one on the real axis, comes back as mpc, and so does any seed on a
+    # complex form
+    for text, seeds in (("4/3", (3.0, mp.mpf(3), 0.3 + 0.9j, 3 + 0j, mp.mpc(3))),
+                        ("4/3+1/5i", (3 + 0j, mp.mpc(0.3, 0.9)))):
+        form = sparse_form(BetaParam.parse(text), 20)
+        with with_precision(256 + 32):
+            cs = [fixed_from(c, 256 + 32) for c in form.coeffs]
+            for seed in seeds:
+                z, steps, settled = rootfind._newton(cs, 20, seed, 256)
+                real = isinstance(seed, (float, mp.mpf)) and form.is_real
+                assert settled and type(z) is (mp.mpf if real else mp.mpc)
 
 
 # beta close to 2 at a tiny order: Newton from 19/20 cycles instead of
