@@ -244,8 +244,9 @@ def eval_sparse(cs: Sequence, n: int, t) -> tuple:
     (a0, a1, b0, b1, b2), with t**(n-1) by squaring.
 
     Generic over the arithmetic of ``t`` and ``cs``: mpf, mpc, mpmath
-    intervals (``mp.iv``) or fixed-point :class:`~betaspec.numerics.Fixed`,
-    each operation rounded as that arithmetic rounds.
+    intervals (``mp.iv``), fixed-point :class:`~betaspec.numerics.Fixed` or
+    integer balls :class:`~betaspec.numerics.Ball`, each operation rounded
+    as that arithmetic rounds (outward for intervals and balls).
     """
     a0, a1, b0, b1, b2 = cs
     tn1 = t ** (n - 1)

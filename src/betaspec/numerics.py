@@ -1,7 +1,7 @@
-"""Scalar arithmetic contracts: exact rationals, precision-tracked floats and
-fixed-point integers.
+"""Scalar arithmetic contracts: exact rationals, precision-tracked floats,
+fixed-point integers and integer balls.
 
-Three scalar kinds flow through the package:
+Four scalar kinds flow through the package:
 
 * exact rationals -- ``fractions.Fraction`` (re-exported as
   :data:`ExactRational`) plus :class:`QComplex` for complex numbers with
@@ -15,6 +15,10 @@ Three scalar kinds flow through the package:
   is Newton's arithmetic on the five-term form: the same operations as mpc
   without mpmath's per-object dispatch.  Values enter by :func:`fixed_from`
   and leave as mpf or mpc at the ambient precision.
+* complex balls -- :class:`Ball`, a :class:`Fixed` midpoint with an integer
+  radius at the same scale, rounded outward.  It bounds the sparse
+  eigensolver's inclusion disks; values enter by :func:`ball_from` and leave
+  as integer bounds on the modulus.
 
 Precision does not live in hidden mutable state: every routine that computes
 at precision P does so inside :func:`with_precision` and hands back plain
@@ -23,6 +27,7 @@ concurrent work in separate processes, not threads.)
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,13 +297,7 @@ class Fixed:
         return Fixed(x << self.p, 0, self.p) / self
 
     def __pow__(self, k: int):
-        out, base = Fixed(1 << self.p, 0, self.p), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            base = base * base if k else base
-        return out
+        return _power(Fixed(1 << self.p, 0, self.p), self, k)
 
     def __bool__(self):
         return bool(self.re or self.im)
@@ -325,15 +324,90 @@ def fixed_from(x, p: int) -> Fixed:
     """``x`` (Fraction, QComplex, float, complex, mpf or mpc) as a
     :class:`Fixed` at the scale 2**-p, each part rounded to nearest by one
     exact integer division."""
+    return Fixed(*(_round_div(num << p, den) for num, den in _ratios(x)), p)
+
+
+def _ratios(x) -> tuple:
+    """The real and imaginary parts of ``x`` as (numerator, denominator)."""
     if isinstance(x, (complex, mp.mpc, QComplex)):
-        re, im = (x.re, x.im) if isinstance(x, QComplex) else (x.real, x.imag)
-        return Fixed(_fixed_part(re, p), _fixed_part(im, p), p)
-    return Fixed(_fixed_part(x, p), 0, p)
+        parts = (x.re, x.im) if isinstance(x, QComplex) else (x.real, x.imag)
+    else:
+        parts = (x, 0)
+    return tuple((fraction_from_mpf(v) if isinstance(v, mp.mpf) else v).as_integer_ratio()
+                 for v in parts)
 
 
-def _fixed_part(x, p: int) -> int:
-    num, den = (fraction_from_mpf(x) if isinstance(x, mp.mpf) else x).as_integer_ratio()
-    return _round_div(num << p, den)
+class Ball:
+    """The disk |z - (re + i im) 2**-p| <= rad 2**-p, re, im and rad Python
+    integers (midpoint-radius arithmetic; van der Hoeven, "Ball arithmetic",
+    2009).  Each result holds x op y for all x, y in the operands: ``+``,
+    int ``-`` ball and ``*`` by an int are exact; a product of balls rounds
+    its midpoint to nearest (off by under one unit) and takes the radius
+    |m1| r2 + |m2| r1 + r1 r2, each |m| and the sum rounded up, plus one
+    unit if the midpoint rounded.  These are the operations of
+    :func:`~betaspec.charpoly.eval_sparse` and of the divisor
+    (1 - t)(1 - x t), where an int stands for itself.
+    """
+
+    __slots__ = ("re", "im", "rad", "p")
+
+    def __init__(self, re: int, im: int, rad: int, p: int):
+        self.re, self.im, self.rad, self.p = re, im, rad, p
+
+    def __add__(self, x):
+        return Ball(self.re + x.re, self.im + x.im, self.rad + x.rad, self.p)
+
+    def __rsub__(self, x: int):
+        return Ball((x << self.p) - self.re, -self.im, self.rad, self.p)
+
+    def __mul__(self, x):
+        a, b, r, p = self.re, self.im, self.rad, self.p
+        if isinstance(x, int):
+            return Ball(a * x, b * x, r * abs(x), p)
+        c, d, s = x.re, x.im, x.rad
+        re, im, unit = a * c - b * d, a * d + b * c, 1 << p
+        rad = -(-(_abs_up(a, b) * s + _abs_up(c, d) * r + r * s) >> p)
+        rad += bool((re | im) & (unit - 1))  # the midpoint rounds
+        return Ball((re + (unit >> 1)) >> p, (im + (unit >> 1)) >> p, rad, p)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return _power(Ball(1 << self.p, 0, 0, self.p), self, k)
+
+    def sup_abs(self) -> int:
+        """An upper bound on |z| over the ball, in units of 2**-p."""
+        return _abs_up(self.re, self.im) + self.rad
+
+    def inf_abs(self) -> int:
+        """A lower bound on |z| over the ball, in units of 2**-p (<= 0 if
+        the ball may hold 0)."""
+        return math.isqrt(self.re * self.re + self.im * self.im) - self.rad
+
+
+def ball_from(x, p: int) -> Ball:
+    """``x`` (Fraction, QComplex, float, complex, mpf or mpc) as a
+    :class:`Ball` at the scale 2**-p: each part rounded to nearest, and
+    radius 1 unless both parts are multiples of 2**-p (radius 0)."""
+    ratios = _ratios(x)
+    mids = [_round_div(num << p, den) for num, den in ratios]
+    exact = all(m * den == num << p for m, (num, den) in zip(mids, ratios))
+    return Ball(*mids, 0 if exact else 1, p)
+
+
+def _power(out, base, k: int):
+    """out * base**k, by squaring."""
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        base = base * base if k else base
+    return out
+
+
+def _abs_up(a: int, b: int) -> int:
+    """ceil(sqrt(a**2 + b**2))."""
+    return math.isqrt(a * a + b * b - 1) + 1 if b else abs(a)
 
 
 def _round_div(u: int, v: int) -> int:

@@ -4,8 +4,8 @@ This is the eigenvalue engine: the spectra of the matrix family are computed
 as roots of the closed-form characteristic polynomials.  :func:`solve_all`
 has two routes over the doubling precision ladder (:func:`_ladder`) and one
 acceptance rule: the first level whose inclusion disks, bounded in
-outward-rounded interval arithmetic, are pairwise disjoint (so each holds
-exactly one zero) and of radius at most 10**-D (1 + |z|).
+outward-rounded arithmetic, are pairwise disjoint (so each holds exactly
+one zero) and of radius at most 10**-D (1 + |z|).
 
 * The sparse route, for the closed-form p_n (``poly.beta`` set).  The n
   eigenvalues, the zeros of f = (1 - t)(1 - t/beta) p_n = a + t**n b other
@@ -13,8 +13,10 @@ exactly one zero) and of radius at most 10**-D (1 + |z|).
   near the unit circle and from the zeros of a and b off it, then polished
   by Newton on the five-term form at O(log n) operations per step (for
   real beta, on the closed upper half-plane only).  Newton runs in
-  fixed-point integers (:class:`~betaspec.numerics.Fixed`): it only moves
-  the centres, and the disks that certify them are bounded in ``mp.iv``.
+  fixed-point integers (:class:`~betaspec.numerics.Fixed`) and only moves
+  the centres; the disks that certify them are bounded in integer ball
+  arithmetic (:class:`~betaspec.numerics.Ball`), midpoint and radius at a
+  fixed scale with every rounding outward, through the same evaluator.
   Their n disks, f's own, must also exclude the points 1 and beta; a real
   eigenvalue is returned with imaginary part exactly 0.  If the seeds are
   not n or no level certifies, the route logs why and the Aberth ladder
@@ -34,6 +36,11 @@ Single real roots (the outliers) are refined by the same fixed-point Newton
 on the five-term sparse form of p_n, each certified by a sign change in
 interval arithmetic (:func:`refine_real_root_reported`) on the same ladder.
 
+``mp.iv`` intervals serve exactly three places: the Aberth route's Horner
+disks (:func:`_dense_disks`), the refinement's sign change
+(:func:`_sign_change`) and the Rouché count
+(:meth:`~betaspec.charpoly.SparseForm.zeros_inside`).
+
 numpy (and scipy) are imported inside the functions that use them, so a
 process that only refines or counts outliers never loads them.
 """
@@ -48,7 +55,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import fone, mpc_add, mpc_mpf_div, mpc_sub
+from mpmath.libmp import fone, from_rational, mpc_add, mpc_mpf_div, mpc_sub
 
 from .errors import (
     ConvergenceFailureError,
@@ -58,6 +65,7 @@ from .errors import (
 from .charpoly import PrecPoly, SparseForm, eval_sparse, sparse_form
 from .matrices import BetaParam
 from .numerics import (
+    ball_from,
     decimal_str,
     fixed_from,
     iv_from,
@@ -74,6 +82,11 @@ MAX_SWEEPS_PER_LEVEL = 500
 MAX_NEWTON_STEPS_PER_LEVEL = 200
 FLOAT_WARMUP_SWEEPS = 300
 FLOAT_WARMUP_TOL = 1e-12
+# Bits the sparse route's ball disks carry past the ambient precision: with
+# them their absolute rounding leaves them about as narrow as mp.iv's disks
+# (without them, 7-40x wider on the figure spectra), so every level that
+# certified still does
+DISK_GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -86,7 +99,9 @@ class RootSet:
     holds exactly one zero of the polynomial, and each radius is at most
     10**-target_digits (1 + |root|).
     ``residuals[k]`` is an outward-rounded upper bound on
-    |p(roots[k])| / |leading coefficient|, from the same interval evaluation.
+    |p(roots[k])| / |leading coefficient|, from the same evaluation that
+    bounds the disk (balls on the sparse route, ``mp.iv`` on the Aberth
+    ladder).
     ``precision_used`` is the first level that certified.
 
     For a real polynomial a root with imaginary part exactly 0 is certified
@@ -267,28 +282,6 @@ def _aberth_level(hi, dhi, z, prec):
     return [mp.make_mpc(t) for t in zt], sweeps, all(converged)
 
 
-def _upper(x) -> mp.mpf:
-    """The upper end of an ``mp.iv`` interval, as an mpf."""
-    return mp.make_mpf(x._mpi_[1])
-
-
-def _iv_disks(roots, count: int, evaluate):
-    """Inclusion disks at ``roots``, one ``mp.iv`` evaluation each at ``iv.prec``.
-
-    ``evaluate(z)`` gives the intervals (f, f', divisor) at the interval point
-    z, for a polynomial f with ``count`` zeros.  As f'/f = sum_k 1/(z - zeta_k),
-    the disk |zeta - z| <= count |f/f'| holds a zero of f (Carstensen, Numer.
-    Math. 59, 1991).  Returns each radius count sup|f| / inf|f'| and each
-    residual bound sup|f| / inf|divisor|, inf where the denominator may vanish.
-    """
-    rho, bounds = [], []
-    for z in roots:
-        f, df, div = (abs(v) for v in evaluate(iv_from(z)))
-        rho.append(_upper(count * f / df) if df.a > 0 else mp.inf)
-        bounds.append(_upper(f / div) if div.a > 0 else mp.inf)
-    return rho, bounds
-
-
 def _disjoint(zeros, rho) -> tuple[bool, float]:
     """Whether the disks |zeta - zeros[j]| <= rho[j] are pairwise disjoint,
     and the least gap |z_j - z_k| - rho_j - rho_k between two of them.
@@ -316,17 +309,23 @@ def _within(zeros, rho, target_digits: int) -> bool:
 
 
 def _dense_disks(poly: PrecPoly, roots: list):
-    """The d inclusion disks of :func:`_iv_disks` at the Aberth iterates, from
-    one interval Horner pass for p and p' on the exact coefficients; the
-    residual bounds are on |p| / |c_d|."""
+    """The d inclusion disks at the Aberth iterates, from one ``mp.iv``
+    Horner pass for p and p' on the exact coefficients: each radius
+    d sup|p| / inf|p'| (the disk of :func:`_inclusion_disks`) and each
+    residual bound sup|p| / inf|c_d|, inf where the denominator may vanish.
+    """
     civ = [iv_from(c) for c in poly.coeffs]
-
-    def horner(z):
+    lead = abs(civ[-1])
+    rho, bounds = [], []
+    for z in roots:
+        z = iv_from(z)
         p, dp = civ[-1], 0
         for c in reversed(civ[:-1]):
             p, dp = p * z + c, dp * z + p
-        return p, dp, civ[-1]
-    return _iv_disks(roots, poly.degree, horner)
+        p, dp = abs(p), abs(dp)
+        rho.append(mp.make_mpf((poly.degree * p / dp)._mpi_[1]) if dp.a > 0 else mp.inf)
+        bounds.append(mp.make_mpf((p / lead)._mpi_[1]) if lead.a > 0 else mp.inf)
+    return rho, bounds
 
 
 def _real_centres(poly: PrecPoly, z: list, rho: list, bounds: list, target_digits: int):
@@ -433,11 +432,12 @@ def _newton(cs, n: int, t, prec: int, x=None):
     the scale 2**-(prec + 32): ``cs`` (a0, a1, b0, b1, b2) and ``x`` come
     from :func:`~betaspec.numerics.fixed_from` at that scale, and the settle
     test is decided exactly in integers.  Only the iterate comes from here;
-    the certificates that accept it stay in ``mp.iv``.  Each step is rounded
-    to prec + 32 significant bits, as an mpc step was: its bits below that
-    are rounding noise, and without them a large step leaves the iterate on
-    a coarse dyadic grid, from which Newton lands on a short dyadic zero
-    (such as -3/2) exactly.
+    the certificates that accept it are bounded in outward-rounded balls
+    (:func:`_inclusion_disks`) or intervals (:func:`_sign_change`).  Each
+    step is rounded to prec + 32 significant bits, as an mpc step was: its
+    bits below that are rounding noise, and without them a large step
+    leaves the iterate on a coarse dyadic grid, from which Newton lands on a
+    short dyadic zero (such as -3/2) exactly.
 
     Returns (root, steps, settled), the root rounded to the ambient
     precision: an mpf for a real ``t`` (float or mpf) on a real form, else
@@ -475,15 +475,19 @@ def _inclusion_disks(form: SparseForm, roots: list):
     """Certify the iterates of the sparse route as the n zeros of p_n.
 
     ``roots`` are the iterates of :func:`_phase_seeds`' seeds; for real beta
-    the complex ones stand for their conjugates too.  Each gets the disk of
-    :func:`_iv_disks` for f = a + t**n b from the exact coefficients, so each
-    disk holds a zero of f.  If the disks are pairwise disjoint and neither
-    spurious zero 1 nor beta lies in any of them, each holds a zero of p_n,
-    so the n disks hold all n eigenvalues, one each.  Returns
+    the complex ones stand for their conjugates too.  f = a + t**n b, f' and
+    the divisor (1 - t)(1 - x t) are bounded at each in outward-rounded
+    balls (:class:`~betaspec.numerics.Ball`) at the scale
+    2**-(prec + DISK_GUARD_BITS), prec the ambient precision.  As
+    f'/f = sum_k 1/(z - zeta_k) over f's n + 2 zeros, the disk of radius
+    (n + 2) sup|f| / inf|f'| holds a zero of f (Carstensen, Numer. Math.
+    59, 1991).  If the disks are pairwise disjoint and neither spurious
+    zero 1 nor beta lies in any of them, each holds a zero of p_n, so the n
+    disks hold all n eigenvalues, one each.  Returns
     ``(zeros, rho, bounds, min_gap)``: the n centres (None if the disks
-    overlap each other, 1 or beta), each radius, each upper bound on
-    |p_n| = |f| / |(1 - z)(1 - z/beta)| (inf if the divisor may vanish), and
-    the least gap between disks and points.
+    overlap each other, 1 or beta), each radius, each upper bound
+    sup|f| / inf|divisor| on |p_n| (inf where a denominator may vanish;
+    both rounded up), and the least gap between disks and points.
 
     A real centre's disk is symmetric under conjugation, so the one zero it
     holds is real: real seeds stay real under Newton, which is why a real
@@ -493,16 +497,27 @@ def _inclusion_disks(form: SparseForm, roots: list):
     zeros = list(roots)
     if form.is_real:
         zeros += [mp.conj(z) for z in roots if isinstance(z, mp.mpc)]
-    civ = [iv_from(c) for c in form.coeffs]
-    xiv = iv_from(form.x)
-    rho, bounds = _iv_disks(roots, n + 2, lambda z: (
-        *eval_sparse(civ, n, z), (1 - z) * (1 - xiv * z)))
+    p = mp.mp.prec + DISK_GUARD_BITS
+    cs = [ball_from(c, p) for c in form.coeffs]
+    x = ball_from(form.x, p)
+    rho, bounds = [], []
+    for z in roots:
+        t = ball_from(z, p)
+        f, df = eval_sparse(cs, n, t)
+        sup_f = f.sup_abs()
+        rho.append(_quotient_up((n + 2) * sup_f, df.inf_abs()))
+        bounds.append(_quotient_up(sup_f, ((1 - t) * (1 - x * t)).inf_abs()))
     if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
-        rho += [x for x, z in zip(rho, roots) if isinstance(z, mp.mpc)]
-        bounds += [x for x, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
+        rho += [r for r, z in zip(rho, roots) if isinstance(z, mp.mpc)]
+        bounds += [b for b, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
     points = {1 + 0j, complex(form.beta.value)}  # one point at beta = 1
     disjoint, min_gap = _disjoint(zeros + list(points), rho + [0] * len(points))
     return zeros if disjoint else None, rho, bounds, min_gap
+
+
+def _quotient_up(u: int, v: int) -> mp.mpf:
+    """u / v rounded up to the ambient precision, inf if v <= 0."""
+    return mp.make_mpf(from_rational(u, v, mp.mp.prec, "u")) if v > 0 else mp.inf
 
 
 def _refuse(d: int, reason: str) -> None:
@@ -639,8 +654,9 @@ def refine_real_root_reported(form: SparseForm, seed,
 
     A seed outside the basin raises :class:`RefinementFailureError` at the
     first level where Newton does not settle (or where the step meets t = 1,
-    t = beta or a vanishing derivative); a root that settles but whose
-    bracket no level of the ladder can certify raises
+    t = beta or a vanishing derivative), and so does an iterate that settles
+    with t = 1 or t = beta in its bracket, naming the point; a root that
+    settles but whose bracket no level of the ladder can certify raises
     :class:`ConvergenceFailureError` with the last iterate in ``best``.
     """
     if target_digits < 1:
@@ -662,12 +678,17 @@ def refine_real_root_reported(form: SparseForm, seed,
                 t = mp.mpf(0)
             u = mp.mpf(10) ** (-(target_digits + 2)) * (abs(t) or 1) / n
             certified = settled and _sign_change(form, t, u)
+            point = settled and not certified and _spurious_zero(form, t - u, t + u)
             log.debug("refine degree=%d level: bits=%d newton_steps=%d settled=%s "
                       "bracket=%s seconds=%.6f", n, prec, steps, settled,
                       mp.nstr(u, 3), time.perf_counter() - started)
         if not settled:
             raise RefinementFailureError(
                 f"Newton iteration did not settle at {prec} bits (seed outside basin?)")
+        if point:
+            raise RefinementFailureError(
+                f"Newton settled at {prec} bits within {mp.nstr(u, 3)} of t = {point}, "
+                f"a spurious zero of the five-term form, where no sign change certifies p_n")
         if certified:
             return t, prec
         best = t
@@ -681,15 +702,23 @@ def _sign_change(form: SparseForm, t, u) -> bool:
     outward-rounded interval arithmetic, and neither spurious zero 1 nor
     beta lies in between."""
     lo, hi = t - u, t + u
-    beta = form.beta.real_value
+    if _spurious_zero(form, lo, hi):
+        return False
     iv = mp.iv
-    for z in (iv.mpf(1), iv_from(beta)):
-        if not (z.b < lo or z.a > hi):
-            return False
     civ = [iv_from(c) for c in form.coeffs]
     f_lo = eval_sparse(civ, form.n, iv.mpf(lo))[0]
     f_hi = eval_sparse(civ, form.n, iv.mpf(hi))[0]
     return (f_lo.b < 0 < f_hi.a) or (f_hi.b < 0 < f_lo.a)
+
+
+def _spurious_zero(form: SparseForm, lo, hi) -> str | None:
+    """``"1"`` or ``"beta = <beta>"``, a spurious zero of the five-term form
+    that may lie in [lo, hi] (in outward-rounded intervals), else None."""
+    beta = form.beta.real_value
+    for name, z in (("1", mp.iv.mpf(1)), (f"beta = {beta}", iv_from(beta))):
+        if not (z.b < lo or z.a > hi):
+            return name
+    return None
 
 
 def _to_real_seed(seed):

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from mpmath.libmp import mpf_neg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betaspec import (
@@ -24,15 +24,20 @@ from betaspec import (
     sparse_form,
 )
 from betaspec import rootfind
+from betaspec.charpoly import eval_sparse
 from betaspec.numerics import (
+    Ball,
     QComplex,
+    ball_from,
     decimal_str,
     fixed_from,
     fraction_from_mpf,
+    iv_from,
     mpc_from,
     with_precision,
 )
 from betaspec.rootfind import _aberth_level, _polygon_starts, _sign_change, _solve_sparse
+from test_charpoly import SPARSE_BETAS
 
 REFERENCE_N50 = "2.99999796124162120902813536126303334491749260835507"
 
@@ -196,6 +201,13 @@ def test_sign_change_certificate_brackets_only_a_root():
         assert not _sign_change(form, root + 3 * u, u)
         # the spurious zero t = beta of (1 - t)(1 - t/beta) p_n is no root of p_n
         assert not _sign_change(form, mp.mpf(4) / 3, u)
+
+
+def test_refine_names_a_spurious_zero_it_settles_on():
+    # p_1 = t - 1 at beta = 1/2: the eigenvalue is the spurious zero t = 1 of
+    # the five-term form, where no sign change of f can certify it
+    with pytest.raises(RefinementFailureError, match="bits within .* of t = 1,"):
+        refine_real_root_reported(sparse_form(BetaParam.parse("1/2"), 1), 100.0, 30)
 
 
 def test_newton_returns_mpf_for_a_real_seed_and_mpc_for_a_complex_one():
@@ -542,6 +554,95 @@ def test_sparse_residuals_bound_the_exact_value(route, beta_text, n):
     for z, r in zip(rs.roots, rs.residuals):
         exact = poly.eval_exact(QComplex(fraction_from_mpf(z.real), fraction_from_mpf(z.imag)))
         assert fraction_from_mpf(r) ** 2 >= exact.abs2() > 0
+
+
+def _inside(ball: Ball, z: QComplex) -> bool:
+    # the exact value z lies in the ball
+    gap = z * 2 ** ball.p - QComplex(Fraction(ball.re), Fraction(ball.im))
+    return gap.abs2() <= ball.rad ** 2
+
+
+@st.composite
+def _dyadic_points(draw):
+    # |t| <= 3, with denominators on both sides of 2**-p at p = 296 and 552
+    k = draw(st.integers(min_value=0, max_value=600))
+    re, im = (Fraction(draw(st.integers(min_value=-3 << k, max_value=3 << k)), 1 << k)
+              for _ in range(2))
+    assume(re * re + im * im <= 9)
+    return QComplex(re, im)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=SPARSE_BETAS, n=st.integers(min_value=1, max_value=80),
+       t=_dyadic_points(), p=st.sampled_from([296, 552]))
+def test_ball_evaluation_encloses_the_exact_values(beta, n, t, p):
+    # f, f' and the divisor on balls hold the exact rational values of the
+    # five-term form at the exact point t
+    form = sparse_form(beta, n)
+    a0, a1, b0, b1, b2 = form.coeffs
+    tn1 = t ** (n - 1)
+    f = a0 + a1 * t + tn1 * t * (b0 + b1 * t + b2 * t * t)
+    df = a1 + tn1 * (n * b0 + (n + 1) * b1 * t + (n + 2) * b2 * t * t)
+    div = (1 - t) * (1 - form.x * t)
+    tb = ball_from(t, p)
+    fb, dfb = eval_sparse([ball_from(c, p) for c in form.coeffs], n, tb)
+    assert _inside(fb, f) and _inside(dfb, df)
+    assert _inside((1 - tb) * (1 - ball_from(form.x, p) * tb), div)
+    assert max(fb.inf_abs(), 0) ** 2 <= f.abs2() * 4 ** p <= fb.sup_abs() ** 2
+
+
+_NON_DYADIC = st.fractions(min_value=-5, max_value=5, max_denominator=99).filter(
+    lambda q: q.denominator & (q.denominator - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.builds(QComplex, _NON_DYADIC, _NON_DYADIC), y=st.builds(QComplex, _NON_DYADIC, _NON_DYADIC),
+       r=st.integers(min_value=0, max_value=2 ** 40), s=st.integers(min_value=0, max_value=2 ** 40),
+       u=st.sampled_from([QComplex(Fraction(3, 5), Fraction(4, 5)), QComplex(Fraction(-1)),
+                          QComplex(Fraction(0), Fraction(-1)), QComplex(Fraction(0))]),
+       p=st.sampled_from([296, 552]))
+def test_ball_product_encloses_the_exact_product(x, y, r, s, u, p):
+    # two inexact balls, widened by r and s units, and points of each on the
+    # rim along u (|u| <= 1): their exact product lies in the ball product
+    bx, by = ball_from(x, p), ball_from(y, p)
+    assert bx.rad == by.rad == 1 and _inside(bx, x) and _inside(by, y)
+    bx, by = Ball(bx.re, bx.im, bx.rad + r, p), Ball(by.re, by.im, by.rad + s, p)
+    unit = Fraction(1, 2 ** p)
+    xs, ys = x + u * (r * unit), y + u.conjugate() * (s * unit)
+    assert _inside(bx, xs) and _inside(by, ys) and _inside(bx * by, xs * ys)
+
+
+@pytest.mark.parametrize("beta_text,n,digits", [
+    ("5", 50, 30), ("3", 50, 30), ("4/3", 50, 30), ("4/3", 70, 200)])
+def test_ball_disks_are_no_wider_than_interval_disks(beta_text, n, digits):
+    # the same Carstensen radius (n + 2) sup|f| / inf|f'| bounded by mp.iv
+    # at the ambient precision: a ball radius never exceeds twice it, so the
+    # ball certifies at the level mp.iv did.  It is often far tighter (down
+    # to about 1/100 at the outlier near 3), where the coefficients' and the
+    # centre's rounding dominate mp.iv's bound and the ball carries
+    # rootfind.DISK_GUARD_BITS more bits.
+    beta = BetaParam.parse(beta_text)
+    rs = solve_all(charpoly_closed_form(beta, n), digits)
+    form = sparse_form(beta, n)
+    with with_precision(rs.precision_used + 32):
+        rho = rootfind._inclusion_disks(form, list(rs.roots))[1][:n]
+        civ = [iv_from(c) for c in form.coeffs]
+        for z, r in zip(rs.roots, rho):
+            f, df = (abs(v) for v in eval_sparse(civ, n, iv_from(z)))
+            assert r <= 2 * mp.make_mpf(((n + 2) * f / df)._mpi_[1])
+
+
+def test_sparse_route_does_not_use_mp_iv(monkeypatch):
+    # the sparse route's disks are balls; mp.iv serves the Aberth route's
+    # Horner disks, which would raise here
+    def refuse(z):
+        raise AssertionError("mp.iv used")
+
+    monkeypatch.setattr(rootfind, "iv_from", refuse)
+    for beta_text, n in (("4/3", 50), ("3/2+1i", 30)):
+        rs = solve_all(charpoly_closed_form(BetaParam.parse(beta_text), n), 30)
+        assert rs.degree == n
+        _assert_disks(rs)
 
 
 def test_sparse_route_refuses_a_perturbed_root(monkeypatch, caplog):
