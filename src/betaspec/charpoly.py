@@ -39,8 +39,8 @@ from .matrices import REAL_GT1, BetaParam
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     QComplex,
+    ball_from,
     decimal_str,
-    iv_from,
     mpc_from,
     mpf_from,
     polyval,
@@ -199,32 +199,39 @@ class SparseForm:
 
         On t = rho e^{i theta}, g = |a|**2 - rho**(2n) |b|**2 = q c**2 + l c + k
         in c = cos theta, concave as q = -4 rho**(2n+2) b0 b2 < 0; its values
-        g(+-1) at t = +-rho give l and k.  Positive at c = +-1, a dominates:
-        f has a's zero beta - 1 inside if beta - 1 < rho.  Negative there and
-        at the vertex c = -l/2q, t**n b dominates: f has n zeros at 0 plus
-        b's, which Rouché on b = x (t - beta)(t - S_n) + x**(n+1) counts as
-        beta and S_n if |rho - beta| |rho - S_n| > x**n.  The spurious zeros
-        1 and beta are subtracted.  Every sign is strict on the ends of
-        64-bit outward-rounded ``mp.iv`` intervals, so a zero of f on the
-        circle gives None.
+        g1, g2 = g(+-1) at t = +-rho give l and k.  Positive at c = +-1, a
+        dominates: f has a's zero beta - 1 inside if beta - 1 < rho.  Negative
+        there and at the vertex c = -l/2q, t**n b dominates: f has n zeros at
+        0 plus b's, which Rouché on b = x (t - beta)(t - S_n) + x**(n+1)
+        counts as beta and S_n if |rho - beta| |rho - S_n| > x**n, decided
+        exactly.  The spurious zeros 1 and beta are subtracted.
+
+        The vertex and peak tests do not divide.  With l2 = g1 - g2 = 2l and
+        q4 = 4q < 0, the vertex -l2/q4 lies in (-1, 1) iff l2 + q4 < 0 < l2 - q4,
+        and 4 q4 times the peak k - l**2/4q is 2 q4 (g1 + g2) - q4**2 - l2**2,
+        positive iff the peak is negative.  Every sign is strict over
+        :class:`~betaspec.numerics.Ball` values at the absolute scale 2**-128,
+        so a zero of f on the circle gives None.
         """
         self.beta.require_class([REAL_GT1], "the Rouché count")
         beta, n = self.beta.real_value, self.n
         s = -(1 + self.b[1]) / self.x  # S_n
-        with with_precision(64):
-            a0, a1, b0, b1, b2, r = map(iv_from, (*self.coeffs, Fraction(rho)))
-            rn, a1r, b1r, b2r2 = r ** n, a1 * r, b1 * r, b2 * r * r
-            g1, g2 = ((a0 + ar) ** 2 - (rn * (b0 + br + b2r2)) ** 2
-                      for ar, br in ((a1r, b1r), (-a1r, -b1r)))
-            if g1.a > 0 and g2.a > 0:
-                return (beta - 1 < rho) - (1 < rho) - (beta < rho)
-            q = -4 * rn * rn * b0 * b2r2
-            l, k = (g1 - g2) / 2, (g1 + g2) / 2 - q
-            vertex = -l / (2 * q)
-            peak = k - l * l / (4 * q) if vertex.b > -1 and vertex.a < 1 else g1
-            if not (g1.b < 0 and g2.b < 0 and peak.b < 0
-                    and (abs(r - iv_from(beta)) * abs(r - iv_from(s))).a > (b2 ** n).b):  # b2 = x
-                return None
+        # the scale 2**-128: at beta = 9/5, n = 200, rho = 1 - Fraction(0.2), a's
+        # zero lies about 1e-17 off the circle, g1 is about 2**-114 and
+        # rho**(2n) |b|**2 about 2**-133, so at 2**-64 that count is undecided
+        a0, a1, b0, b1, b2, r = (ball_from(c, 128) for c in (*self.coeffs, Fraction(rho)))
+        rn, a1r, b1r, b2r2 = r ** n, a1 * r, b1 * r, b2 * r * r
+        g1, g2 = ((a0 + ar) ** 2 - (rn * (b0 + br + b2r2)) ** 2
+                  for ar, br in ((a1r, b1r), (-a1r, -b1r)))
+        if g1.sign() > 0 and g2.sign() > 0:
+            return (beta - 1 < rho) - (1 < rho) - (beta < rho)
+        l2, q4 = g1 - g2, -16 * rn * rn * b0 * b2r2
+        vertex_inside = (l2 + q4).sign() <= 0 <= (l2 - q4).sign()
+        peak_negative = (not vertex_inside
+                         or (2 * q4 * (g1 + g2) - q4 * q4 - l2 * l2).sign() > 0)
+        if not (g1.sign() < 0 and g2.sign() < 0 and peak_negative
+                and abs(rho - beta) * abs(rho - s) > self.x ** n):
+            return None
         return n + (s < rho) - (1 < rho)
 
 
@@ -243,10 +250,10 @@ def eval_sparse(cs: Sequence, n: int, t) -> tuple:
     """(f(t), f'(t)) of f = a + t**n b from the five coefficients ``cs``
     (a0, a1, b0, b1, b2), with t**(n-1) by squaring.
 
-    Generic over the arithmetic of ``t`` and ``cs``: mpf, mpc, mpmath
-    intervals (``mp.iv``), fixed-point :class:`~betaspec.numerics.Fixed` or
-    integer balls :class:`~betaspec.numerics.Ball`, each operation rounded
-    as that arithmetic rounds (outward for intervals and balls).
+    Generic over the arithmetic of ``t`` and ``cs``: mpf, mpc, fixed-point
+    :class:`~betaspec.numerics.Fixed` or integer balls
+    :class:`~betaspec.numerics.Ball`, each operation rounded as that
+    arithmetic rounds (outward for balls).
     """
     a0, a1, b0, b1, b2 = cs
     tn1 = t ** (n - 1)

@@ -245,7 +245,8 @@ COMMANDS = {
                         "{degree, coeffs, beta, exact}."),
     "eigs": Command(_eigs, ("beta", "order", *_OUTPUT),
                     "all eigenvalues with residual certificates",
-                    "CSV columns: re,im,residual. JSON: root report."),
+                    "CSV columns: re,im,residual, the residual being the certified "
+                    "disk's radius over (1 + |root|), at most 10^-digits. JSON: root report."),
     "cluster": Command(_cluster, ("beta", "orders", *_OUTPUT, "eps"),
                        "unit-circle annulus partition counts",
                        "CSV columns: n,beta,epsilon,inside_count,outside_count.", REAL_GT1),

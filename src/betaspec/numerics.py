@@ -16,9 +16,11 @@ Four scalar kinds flow through the package:
   without mpmath's per-object dispatch.  Values enter by :func:`fixed_from`
   and leave as mpf or mpc at the ambient precision.
 * complex balls -- :class:`Ball`, a :class:`Fixed` midpoint with an integer
-  radius at the same scale, rounded outward.  It bounds the sparse
-  eigensolver's inclusion disks; values enter by :func:`ball_from` and leave
-  as integer bounds on the modulus.
+  radius at the same scale, rounded outward.  It is the package's one
+  enclosure arithmetic: the eigensolver's inclusion disks on both routes,
+  the refinement's sign change and the Rouché count.  Values enter by
+  :func:`ball_from` and leave as integer bounds on the modulus or as a
+  certain sign.
 
 Precision does not live in hidden mutable state: every routine that computes
 at precision P does so inside :func:`with_precision` and hands back plain
@@ -28,13 +30,11 @@ concurrent work in separate processes, not threads.)
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, fzero, mpc_add, mpc_mul, mpf_add, mpf_mul
-from mpmath.libmp.libmpi import mpi_shift
 
 from .errors import InvalidParameterError, PrecisionError
 
@@ -45,13 +45,13 @@ DEFAULT_PRECISION_BITS = 256
 
 
 def with_precision(bits: int):
-    """Context manager running mpmath arithmetic, real and interval
-    (``mp.iv``), at ``bits`` of working precision::
+    """Context manager running mpmath arithmetic at ``bits`` of working
+    precision::
 
         with with_precision(256):
             ...
 
-    Both precisions are restored on exit, also when an exception leaves the
+    The precision is restored on exit, also when an exception leaves the
     block.  Raises :class:`PrecisionError` at the call if ``bits`` is below 64.
     """
     if bits < MIN_PRECISION_BITS:
@@ -59,17 +59,7 @@ def with_precision(bits: int):
             f"working precision {bits} bits is below the minimum "
             f"{MIN_PRECISION_BITS}"
         )
-    return _precision_scope(bits)
-
-
-@contextmanager
-def _precision_scope(bits: int):
-    saved, mp.iv.prec = mp.iv.prec, bits
-    try:
-        with mp.workprec(bits):
-            yield
-    finally:
-        mp.iv.prec = saved
+    return mp.workprec(bits)
 
 
 @dataclass(frozen=True)
@@ -231,29 +221,6 @@ def mpc_from(x) -> mp.mpc:
     return mp.mpc(mpf_from(x))
 
 
-def iv_from(z):
-    """``z`` (exact rational, QComplex, mpf or mpc) as an ``mp.iv`` interval,
-    rounded outward at ``mp.iv.prec``, which :func:`with_precision` sets."""
-    iv = mp.iv
-    if isinstance(z, QComplex):
-        return iv.mpc(_iv_rational(z.re), _iv_rational(z.im))
-    if isinstance(z, Fraction):
-        return _iv_rational(z)
-    if isinstance(z, mp.mpc):
-        return iv.mpc(iv.mpf(z.real), iv.mpf(z.imag))
-    return iv.mpf(z)
-
-
-def _iv_rational(x: Fraction):
-    # num / (odd * 2**s) as (num / odd) * 2**-s, for the reason mpf_from
-    # gives: the same endpoints as iv.mpf(num) / den, without the quadratic
-    # stripping of den's trailing zero bits
-    den = x.denominator
-    s = (den & -den).bit_length() - 1
-    q = mp.iv.mpf(x.numerator) / (den >> s)
-    return mp.iv.make_mpf(mpi_shift(q._mpi_, -s))
-
-
 class Fixed:
     """The complex number (re + i im) 2**-p, with re and im Python integers.
 
@@ -341,12 +308,12 @@ class Ball:
     """The disk |z - (re + i im) 2**-p| <= rad 2**-p, re, im and rad Python
     integers (midpoint-radius arithmetic; van der Hoeven, "Ball arithmetic",
     2009).  Each result holds x op y for all x, y in the operands: ``+``,
-    int ``-`` ball and ``*`` by an int are exact; a product of balls rounds
-    its midpoint to nearest (off by under one unit) and takes the radius
-    |m1| r2 + |m2| r1 + r1 r2, each |m| and the sum rounded up, plus one
-    unit if the midpoint rounded.  These are the operations of
-    :func:`~betaspec.charpoly.eval_sparse` and of the divisor
-    (1 - t)(1 - x t), where an int stands for itself.
+    ``-``, unary ``-`` and ``*`` by an int are exact (the radii add); a
+    product of balls rounds its midpoint to nearest (off by under one unit)
+    and takes the radius |m1| r2 + |m2| r1 + r1 r2, each |m| and the sum
+    rounded up, plus one unit if the midpoint rounded.  These are the
+    operations of :func:`~betaspec.charpoly.eval_sparse`, of Horner's rule
+    and of the Rouché count, where an int stands for itself.
     """
 
     __slots__ = ("re", "im", "rad", "p")
@@ -357,8 +324,11 @@ class Ball:
     def __add__(self, x):
         return Ball(self.re + x.re, self.im + x.im, self.rad + x.rad, self.p)
 
-    def __rsub__(self, x: int):
-        return Ball((x << self.p) - self.re, -self.im, self.rad, self.p)
+    def __sub__(self, x):
+        return Ball(self.re - x.re, self.im - x.im, self.rad + x.rad, self.p)
+
+    def __neg__(self):
+        return Ball(-self.re, -self.im, self.rad, self.p)
 
     def __mul__(self, x):
         a, b, r, p = self.re, self.im, self.rad, self.p
@@ -383,6 +353,10 @@ class Ball:
         """A lower bound on |z| over the ball, in units of 2**-p (<= 0 if
         the ball may hold 0)."""
         return math.isqrt(self.re * self.re + self.im * self.im) - self.rad
+
+    def sign(self) -> int:
+        """1 or -1 if the real part has that sign over the whole ball, else 0."""
+        return (self.re > self.rad) - (self.re < -self.rad)
 
 
 def ball_from(x, p: int) -> Ball:

@@ -25,21 +25,16 @@ one zero) and of radius at most 10**-D (1 + |z|).
   iteration (no deflation, so the unit-circle cluster stays coupled) from
   degree-many points on the circles of the Newton polygon of log|c_k|;
   the first sweeps run in guarded IEEE float64, after which the
-  multiprecision ladder takes over.  Its d disks come from one interval
-  Horner pass for p and p' on the exact coefficients; for a real polynomial
-  a disk that meets the real axis is moved onto it if the disks still certify.
+  multiprecision ladder takes over.  Its d disks come from one ball Horner
+  pass for p and p' on the exact coefficients; for a real polynomial a disk
+  that meets the real axis is moved onto it if the disks still certify.
 
 Identical inputs give identical digit strings: everything is sequential and
 deterministic.
 
 Single real roots (the outliers) are refined by the same fixed-point Newton
 on the five-term sparse form of p_n, each certified by a sign change in
-interval arithmetic (:func:`refine_real_root_reported`) on the same ladder.
-
-``mp.iv`` intervals serve exactly three places: the Aberth route's Horner
-disks (:func:`_dense_disks`), the refinement's sign change
-(:func:`_sign_change`) and the Rouché count
-(:meth:`~betaspec.charpoly.SparseForm.zeros_inside`).
+ball arithmetic (:func:`refine_real_root_reported`) on the same ladder.
 
 numpy (and scipy) are imported inside the functions that use them, so a
 process that only refines or counts outliers never loads them.
@@ -68,7 +63,7 @@ from .numerics import (
     ball_from,
     decimal_str,
     fixed_from,
-    iv_from,
+    fraction_from_mpf,
     mpc_from,
     mpf_from,
     polyval,
@@ -82,10 +77,10 @@ MAX_SWEEPS_PER_LEVEL = 500
 MAX_NEWTON_STEPS_PER_LEVEL = 200
 FLOAT_WARMUP_SWEEPS = 300
 FLOAT_WARMUP_TOL = 1e-12
-# Bits the sparse route's ball disks carry past the ambient precision: with
-# them their absolute rounding leaves them about as narrow as mp.iv's disks
-# (without them, 7-40x wider on the figure spectra), so every level that
-# certified still does
+# Bits the ball enclosures (both routes' disks and the sign change) carry
+# past the ambient precision: with them the figure spectra's disks are about
+# as narrow as in relative-precision intervals at that precision (without
+# them, 7-40x wider), so those spectra certify at the same level
 DISK_GUARD_BITS = 8
 
 
@@ -97,11 +92,8 @@ class RootSet:
     by modulus; a root with imaginary part exactly 0 has argument 0 or pi.
     The disks |zeta - roots[k]| <= ``radii[k]`` are pairwise disjoint, each
     holds exactly one zero of the polynomial, and each radius is at most
-    10**-target_digits (1 + |root|).
-    ``residuals[k]`` is an outward-rounded upper bound on
-    |p(roots[k])| / |leading coefficient|, from the same evaluation that
-    bounds the disk (balls on the sparse route, ``mp.iv`` on the Aberth
-    ladder).
+    10**-target_digits (1 + |root|), which the disks' evaluation in
+    outward-rounded balls proves on either route.
     ``precision_used`` is the first level that certified.
 
     For a real polynomial a root with imaginary part exactly 0 is certified
@@ -110,7 +102,6 @@ class RootSet:
     """
 
     roots: tuple
-    residuals: tuple
     radii: tuple
     precision_used: int
     iterations: int
@@ -120,6 +111,12 @@ class RootSet:
     @property
     def degree(self) -> int:
         return len(self.roots)
+
+    @property
+    def residuals(self) -> tuple:
+        """Each radius over (1 + |root|), at the ambient precision: the
+        relative quantity the certificate bounds by 10**-target_digits."""
+        return tuple(r / (1 + abs(z)) for z, r in zip(self.roots, self.radii))
 
     def as_json(self) -> str:
         """The report at ``target_digits`` digits (residuals at 3)."""
@@ -308,48 +305,44 @@ def _within(zeros, rho, target_digits: int) -> bool:
     return all(r <= tol * (1 + abs(z)) for z, r in zip(zeros, rho))
 
 
-def _dense_disks(poly: PrecPoly, roots: list):
-    """The d inclusion disks at the Aberth iterates, from one ``mp.iv``
-    Horner pass for p and p' on the exact coefficients: each radius
-    d sup|p| / inf|p'| (the disk of :func:`_inclusion_disks`) and each
-    residual bound sup|p| / inf|c_d|, inf where the denominator may vanish.
+def _dense_disks(poly: PrecPoly, roots: list) -> list:
+    """The d inclusion disks at the Aberth iterates, from one Horner pass for
+    p and p' on the exact coefficients in the balls of :func:`_inclusion_disks`:
+    each radius d sup|p| / inf|p'|, rounded up, inf where p' may vanish.
     """
-    civ = [iv_from(c) for c in poly.coeffs]
-    lead = abs(civ[-1])
-    rho, bounds = [], []
+    p = mp.mp.prec + DISK_GUARD_BITS
+    cs = [ball_from(c, p) for c in poly.coeffs]
+    rho = []
     for z in roots:
-        z = iv_from(z)
-        p, dp = civ[-1], 0
-        for c in reversed(civ[:-1]):
-            p, dp = p * z + c, dp * z + p
-        p, dp = abs(p), abs(dp)
-        rho.append(mp.make_mpf((poly.degree * p / dp)._mpi_[1]) if dp.a > 0 else mp.inf)
-        bounds.append(mp.make_mpf((p / lead)._mpi_[1]) if lead.a > 0 else mp.inf)
-    return rho, bounds
+        z = ball_from(z, p)
+        f, df = cs[-1], ball_from(0, p)
+        for c in reversed(cs[:-1]):
+            f, df = f * z + c, df * z + f
+        rho.append(_quotient_up(poly.degree * f.sup_abs(), df.inf_abs()))
+    return rho
 
 
-def _real_centres(poly: PrecPoly, z: list, rho: list, bounds: list, target_digits: int):
-    """The certified disks ``(z, rho, bounds)`` of a real polynomial, with each
-    centre whose disk meets the real axis moved to Re z and its disk
-    recomputed there, if all disks stay disjoint and within 10**-D (1 + |z|);
-    else as given.  A disk with a real centre is symmetric under conjugation,
-    so the one zero it holds is real."""
+def _real_centres(poly: PrecPoly, z: list, rho: list, target_digits: int):
+    """The certified disks ``(z, rho)`` of a real polynomial, with each centre
+    whose disk meets the real axis moved to Re z and its disk recomputed
+    there, if all disks stay disjoint and within 10**-D (1 + |z|); else as
+    given.  A disk with a real centre is symmetric under conjugation, so the
+    one zero it holds is real."""
     moved = [j for j, (x, r) in enumerate(zip(z, rho)) if x.imag and abs(x.imag) <= r]
-    z2, rho2, bounds2 = list(z), list(rho), list(bounds)
-    for j, r, b in zip(moved, *_dense_disks(poly, [mp.mpc(z[j].real) for j in moved])):
-        z2[j], rho2[j], bounds2[j] = mp.mpc(z[j].real), r, b
+    z2, rho2 = list(z), list(rho)
+    for j, r in zip(moved, _dense_disks(poly, [mp.mpc(z[j].real) for j in moved])):
+        z2[j], rho2[j] = mp.mpc(z[j].real), r
     if moved and _disjoint(z2, rho2)[0] and _within(z2, rho2, target_digits):
-        return z2, rho2, bounds2
-    return z, rho, bounds
+        return z2, rho2
+    return z, rho
 
 
-def _root_set(poly, roots, residuals, radii, prec, iterations, target_digits) -> RootSet:
+def _root_set(poly, roots, radii, prec, iterations, target_digits) -> RootSet:
     """The certified roots as mpc, sorted by argument, as a :class:`RootSet`."""
     with with_precision(prec + 32):
         roots = [mp.mpc(z) for z in roots]
         order = sorted(range(len(roots)), key=lambda j: (mp.arg(roots[j]), abs(roots[j])))
     return RootSet(roots=tuple(roots[j] for j in order),
-                   residuals=tuple(residuals[j] for j in order),
                    radii=tuple(radii[j] for j in order),
                    precision_used=prec, iterations=iterations,
                    target_digits=target_digits, beta=poly.beta)
@@ -433,7 +426,7 @@ def _newton(cs, n: int, t, prec: int, x=None):
     from :func:`~betaspec.numerics.fixed_from` at that scale, and the settle
     test is decided exactly in integers.  Only the iterate comes from here;
     the certificates that accept it are bounded in outward-rounded balls
-    (:func:`_inclusion_disks`) or intervals (:func:`_sign_change`).  Each
+    (:func:`_inclusion_disks`, :func:`_sign_change`).  Each
     step is rounded to prec + 32 significant bits, as an mpc step was: its
     bits below that are rounding noise, and without them a large step
     leaves the iterate on a coarse dyadic grid, from which Newton lands on a
@@ -475,19 +468,18 @@ def _inclusion_disks(form: SparseForm, roots: list):
     """Certify the iterates of the sparse route as the n zeros of p_n.
 
     ``roots`` are the iterates of :func:`_phase_seeds`' seeds; for real beta
-    the complex ones stand for their conjugates too.  f = a + t**n b, f' and
-    the divisor (1 - t)(1 - x t) are bounded at each in outward-rounded
-    balls (:class:`~betaspec.numerics.Ball`) at the scale
+    the complex ones stand for their conjugates too.  f = a + t**n b and f'
+    are bounded at each in outward-rounded balls
+    (:class:`~betaspec.numerics.Ball`) at the scale
     2**-(prec + DISK_GUARD_BITS), prec the ambient precision.  As
     f'/f = sum_k 1/(z - zeta_k) over f's n + 2 zeros, the disk of radius
     (n + 2) sup|f| / inf|f'| holds a zero of f (Carstensen, Numer. Math.
     59, 1991).  If the disks are pairwise disjoint and neither spurious
     zero 1 nor beta lies in any of them, each holds a zero of p_n, so the n
     disks hold all n eigenvalues, one each.  Returns
-    ``(zeros, rho, bounds, min_gap)``: the n centres (None if the disks
-    overlap each other, 1 or beta), each radius, each upper bound
-    sup|f| / inf|divisor| on |p_n| (inf where a denominator may vanish;
-    both rounded up), and the least gap between disks and points.
+    ``(zeros, rho, min_gap)``: the n centres (None if the disks overlap
+    each other, 1 or beta), each radius (rounded up, inf where f' may
+    vanish) and the least gap between disks and points.
 
     A real centre's disk is symmetric under conjugation, so the one zero it
     holds is real: real seeds stay real under Newton, which is why a real
@@ -499,20 +491,15 @@ def _inclusion_disks(form: SparseForm, roots: list):
         zeros += [mp.conj(z) for z in roots if isinstance(z, mp.mpc)]
     p = mp.mp.prec + DISK_GUARD_BITS
     cs = [ball_from(c, p) for c in form.coeffs]
-    x = ball_from(form.x, p)
-    rho, bounds = [], []
+    rho = []
     for z in roots:
-        t = ball_from(z, p)
-        f, df = eval_sparse(cs, n, t)
-        sup_f = f.sup_abs()
-        rho.append(_quotient_up((n + 2) * sup_f, df.inf_abs()))
-        bounds.append(_quotient_up(sup_f, ((1 - t) * (1 - x * t)).inf_abs()))
-    if form.is_real:  # |f|, |f'| and the divisor are the same at a conjugate
+        f, df = eval_sparse(cs, n, ball_from(z, p))
+        rho.append(_quotient_up((n + 2) * f.sup_abs(), df.inf_abs()))
+    if form.is_real:  # |f| and |f'| are the same at a conjugate
         rho += [r for r, z in zip(rho, roots) if isinstance(z, mp.mpc)]
-        bounds += [b for b, z in zip(bounds, roots) if isinstance(z, mp.mpc)]
     points = {1 + 0j, complex(form.beta.value)}  # one point at beta = 1
     disjoint, min_gap = _disjoint(zeros + list(points), rho + [0] * len(points))
-    return zeros if disjoint else None, rho, bounds, min_gap
+    return zeros if disjoint else None, rho, min_gap
 
 
 def _quotient_up(u: int, v: int) -> mp.mpf:
@@ -544,14 +531,14 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
 
     Newton on f = (1 - t)(1 - t/beta) p_n = a + t**n b polishes the seeds of
     :func:`_phase_seeds` at each level of the ladder, O(log n) operations
-    per step.  The first level is accepted at which Newton has
-    settled, the n disks of :func:`_inclusion_disks` are disjoint and clear
-    of 1 and beta, and every radius is at most 10**-D (1 + |z|); the disks'
-    bounds on |p_n| are its residuals.  Returns None, with one DEBUG record
-    saying why, when the seeds are not n, when Newton does not settle, when
-    the disks overlap, or when no level certifies; if the target lies beyond
-    the ladder's top, which the Aberth ladder cannot reach either, it raises
-    :class:`ConvergenceFailureError` with the last iterates instead.
+    per step.  The first level is accepted at which Newton has settled, the
+    n disks of :func:`_inclusion_disks` are disjoint and clear of 1 and
+    beta, and every radius is at most 10**-D (1 + |z|).  Returns None, with
+    one DEBUG record saying why, when the seeds are not n, when Newton does
+    not settle, when the disks overlap, or when no level certifies; if the
+    target lies beyond the ladder's top, which the Aberth ladder cannot reach
+    either, it raises :class:`ConvergenceFailureError` with the last iterates
+    instead.
     """
     d = poly.degree
     form = sparse_form(poly.beta, d)
@@ -570,7 +557,7 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
             steps, settled = max(steps), all(settled)
             zeros = rho = min_gap = None
             if settled:
-                zeros, rho, bounds, min_gap = _inclusion_disks(form, z)
+                zeros, rho, min_gap = _inclusion_disks(form, z)
             certified = zeros is not None and _within(zeros, rho, target_digits)
         iterations += steps
         log.debug("solve_all sparse degree=%d level: bits=%d newton_steps=%d "
@@ -579,7 +566,7 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
         if not settled:
             return _refuse(d, f"newton did not settle at {prec} bits")
         if certified:
-            return _root_set(poly, zeros, bounds, rho, prec, iterations, target_digits)
+            return _root_set(poly, zeros, rho, prec, iterations, target_digits)
         if zeros is None:
             return _refuse(d, f"overlapping disks at {prec} bits")
     if ladder[-1] + 32 < target_bits:
@@ -621,17 +608,17 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
             hi = cs[::-1]
             dhi = [cs[k] * k for k in range(d, 0, -1)]
             z, sweeps, ok = _aberth_level(hi, dhi, z, prec)
-            rho, bounds = _dense_disks(poly, z)
+            rho = _dense_disks(poly, z)
             disjoint, min_gap = _disjoint(z, rho)
             certified = ok and disjoint and _within(z, rho, target_digits)
             if certified and poly.is_real:
-                z, rho, bounds = _real_centres(poly, z, rho, bounds, target_digits)
+                z, rho = _real_centres(poly, z, rho, target_digits)
         total_sweeps += sweeps
         log.debug("solve_all degree=%d level: bits=%d sweeps=%d converged=%s "
                   "certified=%s %s seconds=%.6f", d, prec, sweeps, ok, certified,
                   _disk_fields(rho, min_gap), time.perf_counter() - started)
         if certified:
-            return _root_set(poly, z, bounds, rho, prec, total_sweeps, target_digits)
+            return _root_set(poly, z, rho, prec, total_sweeps, target_digits)
     raise _ladder_exhausted(target_digits, ladder, rho, min_gap, z)
 
 
@@ -644,7 +631,7 @@ def refine_real_root_reported(form: SparseForm, seed,
     t = beta divided out of the step, so it is Newton on p_n itself at
     O(log n) operations per step.  A level is accepted once Newton has
     settled and f changes sign across [root - u, root + u], with
-    u = 10**-(target_digits + 2) |root| / n, in outward-rounded interval
+    u = 10**-(target_digits + 2) |root| / n, in outward-rounded ball
     arithmetic: that bracket holds a zero of p_n, narrow enough to fix the
     printed root and its offsets to the limits.  An iterate that settles
     within the step tolerance of 0 is returned as exactly 0, bracketed by
@@ -698,25 +685,26 @@ def refine_real_root_reported(form: SparseForm, seed,
 
 
 def _sign_change(form: SparseForm, t, u) -> bool:
-    """True iff f has opposite strict signs at t - u and t + u, evaluated in
-    outward-rounded interval arithmetic, and neither spurious zero 1 nor
-    beta lies in between."""
+    """True iff f has opposite certain signs at t - u and t + u, evaluated in
+    outward-rounded balls at the scale 2**-(prec + DISK_GUARD_BITS), prec
+    the ambient precision, and neither spurious zero 1 nor beta lies in
+    between."""
     lo, hi = t - u, t + u
     if _spurious_zero(form, lo, hi):
         return False
-    iv = mp.iv
-    civ = [iv_from(c) for c in form.coeffs]
-    f_lo = eval_sparse(civ, form.n, iv.mpf(lo))[0]
-    f_hi = eval_sparse(civ, form.n, iv.mpf(hi))[0]
-    return (f_lo.b < 0 < f_hi.a) or (f_hi.b < 0 < f_lo.a)
+    p = mp.mp.prec + DISK_GUARD_BITS
+    cs = [ball_from(c, p) for c in form.coeffs]
+    s_lo, s_hi = (eval_sparse(cs, form.n, ball_from(v, p))[0].sign() for v in (lo, hi))
+    return s_lo * s_hi < 0
 
 
 def _spurious_zero(form: SparseForm, lo, hi) -> str | None:
     """``"1"`` or ``"beta = <beta>"``, a spurious zero of the five-term form
-    that may lie in [lo, hi] (in outward-rounded intervals), else None."""
+    in [lo, hi] (compared exactly), else None."""
     beta = form.beta.real_value
-    for name, z in (("1", mp.iv.mpf(1)), (f"beta = {beta}", iv_from(beta))):
-        if not (z.b < lo or z.a > hi):
+    lo, hi = fraction_from_mpf(lo), fraction_from_mpf(hi)
+    for name, z in (("1", 1), (f"beta = {beta}", beta)):
+        if lo <= z <= hi:
             return name
     return None
 

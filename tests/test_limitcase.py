@@ -18,6 +18,7 @@ from betaspec import (
     with_precision,
 )
 from betaspec.charpoly import eval_sparse
+from test_rootfind import iv_precision
 
 BETA1 = BetaParam.parse("1")
 
@@ -142,8 +143,8 @@ def test_lambda_max_below_n(n):
     # f = -t + t**n b changes sign across the certified bracket, which lies
     # below n; there b(t) < 1 = b(n), and b increases past (n + 1)/2
     lam = lambda_max_beta1(n, 12).lambda_max
-    cs = [mp.iv.mpf(c) for c in (0, -1, n + 1, -(n + 1), 1)]
-    with with_precision(256):
+    with with_precision(256), iv_precision(256):
+        cs = [mp.iv.mpf(c) for c in (0, -1, n + 1, -(n + 1), 1)]
         u = mp.mpf(10) ** -14
         lo, hi = mp.iv.mpf(lam - u), mp.iv.mpf(lam + u)
         assert eval_sparse(cs, n, lo)[0].b < 0 < eval_sparse(cs, n, hi)[0].a

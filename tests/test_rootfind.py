@@ -1,6 +1,7 @@
 """Root engine: certified multiprecision roots against independent checks."""
 import json
 import logging
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from betaspec import (
     RefinementFailureError,
     build_beta_matrix,
     charpoly_closed_form,
+    eigenvalues,
     optimal_match_distance,
     refine_real_root_reported,
     reverse_poly,
@@ -24,6 +26,7 @@ from betaspec import (
     sparse_form,
 )
 from betaspec import rootfind
+from betaspec.cli import run
 from betaspec.charpoly import eval_sparse
 from betaspec.numerics import (
     Ball,
@@ -32,7 +35,6 @@ from betaspec.numerics import (
     decimal_str,
     fixed_from,
     fraction_from_mpf,
-    iv_from,
     mpc_from,
     with_precision,
 )
@@ -54,8 +56,7 @@ def _assert_disks(rs):
 
 @pytest.mark.parametrize("beta_text", ["2", "5", "1+1i", "1/2", "1"])
 def test_degree_one_closed_form(beta_text):
-    # p_1(t) = t - (1/beta - 1): the one disk holds that exact zero, and the
-    # residual bounds |p_1| at the returned root
+    # p_1(t) = t - (1/beta - 1): the one disk holds that exact zero
     beta = BetaParam.parse(beta_text)
     rs = solve_all(charpoly_closed_form(beta, 1), 30)
     assert len(rs.roots) == 1
@@ -63,7 +64,6 @@ def test_degree_one_closed_form(beta_text):
     z = rs.roots[0]
     zq = QComplex(fraction_from_mpf(z.real), fraction_from_mpf(z.imag))
     assert (zq - (1 / beta.value - 1)).abs2() <= fraction_from_mpf(rs.radii[0]) ** 2
-    assert (zq - (1 / beta.value - 1)).abs2() <= fraction_from_mpf(rs.residuals[0]) ** 2
 
 
 def test_small_order_matches_dense_eigensolver():
@@ -545,15 +545,17 @@ def test_sparse_route_logs_one_debug_record_per_level(caplog):
     pytest.param(route, beta_text, n, id=f"{prefix}{beta_text}-{n}")
     for prefix, route in (("", _solve_sparse), ("aberth-", _aberth))
     for beta_text, n in (("4/3", 20), ("3/2-5/4i", 15), ("5", 12))])
-def test_sparse_residuals_bound_the_exact_value(route, beta_text, n):
-    # the residual bounds |p_n| at the returned root itself, which is an
-    # exact dyadic rational; a rounded point evaluation can fall below it
+def test_residuals_are_relative_radii_within_the_target(route, beta_text, n):
+    # the residual is the radius over (1 + |z|), the quantity the
+    # certificate bounds by 10**-D, on either route
     poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
     rs = route(poly, 30)
     assert rs is not None and rs.degree == n
-    for z, r in zip(rs.roots, rs.residuals):
-        exact = poly.eval_exact(QComplex(fraction_from_mpf(z.real), fraction_from_mpf(z.imag)))
-        assert fraction_from_mpf(r) ** 2 >= exact.abs2() > 0
+    for z, r, rad in zip(rs.roots, rs.residuals, rs.radii):
+        assert r == rad / (1 + abs(z))
+        assert r <= mp.mpf(10) ** -30
+    row = json.loads(rs.as_json())["roots"][0]
+    assert row["residual"] == decimal_str(rs.residuals[0], 3)
 
 
 def _inside(ball: Ball, z: QComplex) -> bool:
@@ -576,18 +578,15 @@ def _dyadic_points(draw):
 @given(beta=SPARSE_BETAS, n=st.integers(min_value=1, max_value=80),
        t=_dyadic_points(), p=st.sampled_from([296, 552]))
 def test_ball_evaluation_encloses_the_exact_values(beta, n, t, p):
-    # f, f' and the divisor on balls hold the exact rational values of the
-    # five-term form at the exact point t
+    # f and f' on balls hold the exact rational values of the five-term form
+    # at the exact point t
     form = sparse_form(beta, n)
     a0, a1, b0, b1, b2 = form.coeffs
     tn1 = t ** (n - 1)
     f = a0 + a1 * t + tn1 * t * (b0 + b1 * t + b2 * t * t)
     df = a1 + tn1 * (n * b0 + (n + 1) * b1 * t + (n + 2) * b2 * t * t)
-    div = (1 - t) * (1 - form.x * t)
-    tb = ball_from(t, p)
-    fb, dfb = eval_sparse([ball_from(c, p) for c in form.coeffs], n, tb)
+    fb, dfb = eval_sparse([ball_from(c, p) for c in form.coeffs], n, ball_from(t, p))
     assert _inside(fb, f) and _inside(dfb, df)
-    assert _inside((1 - tb) * (1 - ball_from(form.x, p) * tb), div)
     assert max(fb.inf_abs(), 0) ** 2 <= f.abs2() * 4 ** p <= fb.sup_abs() ** 2
 
 
@@ -603,13 +602,48 @@ _NON_DYADIC = st.fractions(min_value=-5, max_value=5, max_denominator=99).filter
        p=st.sampled_from([296, 552]))
 def test_ball_product_encloses_the_exact_product(x, y, r, s, u, p):
     # two inexact balls, widened by r and s units, and points of each on the
-    # rim along u (|u| <= 1): their exact product lies in the ball product
+    # rim along u (|u| <= 1): their exact product, difference and negations
+    # lie in the ball results
     bx, by = ball_from(x, p), ball_from(y, p)
     assert bx.rad == by.rad == 1 and _inside(bx, x) and _inside(by, y)
     bx, by = Ball(bx.re, bx.im, bx.rad + r, p), Ball(by.re, by.im, by.rad + s, p)
     unit = Fraction(1, 2 ** p)
     xs, ys = x + u * (r * unit), y + u.conjugate() * (s * unit)
     assert _inside(bx, xs) and _inside(by, ys) and _inside(bx * by, xs * ys)
+    assert _inside(bx - by, xs - ys) and _inside(-bx, -xs) and _inside(-by, -ys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(re=st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+       im=st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+       rad=st.integers(min_value=0, max_value=2 ** 70),
+       u=st.fractions(min_value=-1, max_value=1), p=st.sampled_from([128, 296]))
+def test_ball_sign_is_the_sign_of_every_real_part(re, im, rad, u, p):
+    # a nonzero sign is the exact real part's sign at the midpoint and at
+    # the point u rad off it, and a ball whose radius reaches |re| has none
+    ball = Ball(re, im, rad, p)
+    sign = ball.sign()
+    for x in (re, re + u * rad):
+        assert sign == 0 or (x > 0) - (x < 0) == sign
+    assert (sign == 0) == (rad >= abs(re))
+
+
+@contextmanager
+def iv_precision(bits: int):
+    """``mp.iv`` at ``bits`` within the block, as an independent reference:
+    the package sets only ``mp.mp.prec``."""
+    saved, mp.iv.prec = mp.iv.prec, bits
+    try:
+        yield
+    finally:
+        mp.iv.prec = saved
+
+
+def _iv(x):
+    # a Fraction or mpc as an mp.iv interval, rounded outward
+    if isinstance(x, mp.mpc):
+        return mp.iv.mpc(mp.iv.mpf(x.real), mp.iv.mpf(x.imag))
+    return mp.iv.mpf(x.numerator) / x.denominator
 
 
 @pytest.mark.parametrize("beta_text,n,digits", [
@@ -617,32 +651,39 @@ def test_ball_product_encloses_the_exact_product(x, y, r, s, u, p):
 def test_ball_disks_are_no_wider_than_interval_disks(beta_text, n, digits):
     # the same Carstensen radius (n + 2) sup|f| / inf|f'| bounded by mp.iv
     # at the ambient precision: a ball radius never exceeds twice it, so the
-    # ball certifies at the level mp.iv did.  It is often far tighter (down
+    # ball certifies at the level mp.iv would.  It is often far tighter (down
     # to about 1/100 at the outlier near 3), where the coefficients' and the
     # centre's rounding dominate mp.iv's bound and the ball carries
     # rootfind.DISK_GUARD_BITS more bits.
     beta = BetaParam.parse(beta_text)
     rs = solve_all(charpoly_closed_form(beta, n), digits)
     form = sparse_form(beta, n)
-    with with_precision(rs.precision_used + 32):
+    bits = rs.precision_used + 32
+    with with_precision(bits), iv_precision(bits):
         rho = rootfind._inclusion_disks(form, list(rs.roots))[1][:n]
-        civ = [iv_from(c) for c in form.coeffs]
+        civ = [_iv(c) for c in form.coeffs]
         for z, r in zip(rs.roots, rho):
-            f, df = (abs(v) for v in eval_sparse(civ, n, iv_from(z)))
+            f, df = (abs(v) for v in eval_sparse(civ, n, _iv(z)))
             assert r <= 2 * mp.make_mpf(((n + 2) * f / df)._mpi_[1])
 
 
-def test_sparse_route_does_not_use_mp_iv(monkeypatch):
-    # the sparse route's disks are balls; mp.iv serves the Aberth route's
-    # Horner disks, which would raise here
-    def refuse(z):
+def test_package_never_uses_mp_iv(monkeypatch, capsys):
+    # every enclosure is a numerics.Ball: each command that certifies
+    # something (disks on both routes, the sign change, the Rouché count)
+    # runs, uncached, with mp.iv's numbers refusing to be made
+    def refuse(*args, **kwargs):
         raise AssertionError("mp.iv used")
 
-    monkeypatch.setattr(rootfind, "iv_from", refuse)
-    for beta_text, n in (("4/3", 50), ("3/2+1i", 30)):
-        rs = solve_all(charpoly_closed_form(BetaParam.parse(beta_text), n), 30)
-        assert rs.degree == n
-        _assert_disks(rs)
+    eigenvalues.cache_clear()
+    monkeypatch.setattr(mp.iv, "mpf", refuse)
+    monkeypatch.setattr(mp.iv, "mpc", refuse)
+    for argv in (["eigs", "--beta=4/3", "--n", "50"],  # the sparse route
+                 ["eigs", "--beta=1/2", "--n", "40"],  # the Aberth route
+                 ["outliers", "--beta=4/3", "--n", "100"],
+                 ["cluster", "--beta=4/3", "--n", "60"],
+                 ["beta1", "--n", "50"]):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_sparse_route_refuses_a_perturbed_root(monkeypatch, caplog):

@@ -25,6 +25,8 @@ from betaspec import (
     sparse_form,
     weyl_sum,
 )
+from betaspec import charpoly
+from betaspec.numerics import ball_from
 from betaspec.spectra import BUILTIN_TEST_FUNCTIONS, outlier_csv
 from test_rootfind import CROSS_BETAS
 
@@ -137,6 +139,19 @@ def test_rouche_count_matches_the_certified_disks(beta, n, eps):
 def test_rouche_count_refuses_a_zero_on_the_circle(rho):
     # beta - 1, the spurious zero 1 and beta = 7/4 are zeros of a + t^n b
     assert sparse_form(BetaParam.parse("7/4"), 20).zeros_inside(rho) is None
+
+
+@pytest.mark.parametrize("beta_text,n,eps", [("9/5", 200, 0.2), ("19/10", 400, 0.1)])
+def test_rouche_count_resolves_a_zero_of_a_just_off_the_circle(monkeypatch, beta_text, n, eps):
+    # a's zero beta - 1 lies about 1e-17 outside |t| = 1 - Fraction(eps):
+    # balls at the scale 2**-128 prove that no eigenvalue is inside, and at
+    # 2**-64 they cannot
+    form = sparse_form(BetaParam.parse(beta_text), n)
+    rho = 1 - Fraction(eps)
+    assert 0 < form.beta.real_value - 1 - rho < Fraction(1, 10 ** 16)
+    assert form.zeros_inside(rho) == 0
+    monkeypatch.setattr(charpoly, "ball_from", lambda x, p: ball_from(x, 64))
+    assert form.zeros_inside(rho) is None
 
 
 def test_find_outliers_proves_its_count_without_a_spectrum(monkeypatch):
