@@ -55,15 +55,11 @@ class PrecPoly:
     """Degree-indexed coefficient vector, exact or multiprecision.
 
     ``coeffs`` runs low to high.  Exact polynomials hold Fraction or QComplex
-    coefficients; inexact ones hold mpf/mpc values.  ``beta`` set means
-    "these are the closed-form coefficients of B(beta, n)": only
-    :func:`charpoly_closed_form` sets it.  Reports carry it as provenance,
-    and :func:`~betaspec.rootfind.solve_all` first tries to solve such a
-    polynomial on its five-term :func:`sparse_form`.
+    coefficients; inexact ones hold mpf/mpc values.  It takes the Aberth
+    ladder; the closed-form p_n is solved from its :func:`sparse_form`.
     """
 
     coeffs: tuple
-    beta: BetaParam | None = None
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -98,10 +94,8 @@ class PrecPoly:
                 return False
         return True
 
-    def coeffs_mp(self, real: bool | None = None) -> list:
-        """Coefficients as mpf/mpc at the ambient precision."""
-        if real is None:
-            real = self.is_real
+    def coeffs_mp(self, real: bool) -> list:
+        """Coefficients as mpf (``real``) or mpc at the ambient precision."""
         conv = mpf_from if real else mpc_from
         return [conv(c) for c in self.coeffs]
 
@@ -140,7 +134,7 @@ def charpoly_closed_form(beta: BetaParam, n: int) -> PrecPoly:
         s = s + inv_powers[m]
         coeffs.append(1 - s)
     coeffs.append(s * 0 + 1)
-    return PrecPoly(coeffs=tuple(coeffs), beta=beta)
+    return PrecPoly(coeffs=tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -284,14 +278,14 @@ def reverse_poly(poly: PrecPoly) -> PrecPoly:
     return PrecPoly(coeffs=tuple(reversed(poly.coeffs)))
 
 
-def poly_to_json(poly: PrecPoly, digits: int = 30) -> str:
+def poly_to_json(poly: PrecPoly, beta: BetaParam | None = None, digits: int = 30) -> str:
     """JSON export: degree, low-to-high coefficient strings, beta, exactness."""
     exact = poly.exact
     payload = {
         "degree": poly.degree,
         "coeffs": [str(c) if exact else decimal_str(c, digits)
                    for c in poly.coeffs],
-        "beta": str(poly.beta) if poly.beta is not None else None,
+        "beta": str(beta) if beta is not None else None,
         "exact": exact,
     }
     return json.dumps(payload)

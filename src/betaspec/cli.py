@@ -115,7 +115,7 @@ def _matrix(args) -> str:
 def _charpoly(args) -> str:
     poly = charpoly_closed_form(args.beta, args.n)
     if args.fmt == "json":
-        return poly_to_json(poly, digits=args.digits) + "\n"
+        return poly_to_json(poly, args.beta, digits=args.digits) + "\n"
     return _lines("k,coefficient", (f"{k},{scalar_str(c, args.digits, args.exact)}"
                                     for k, c in enumerate(poly.coeffs)))
 

@@ -7,7 +7,7 @@ acceptance rule: the first level whose inclusion disks, bounded in
 outward-rounded arithmetic, are pairwise disjoint (so each holds exactly
 one zero) and of radius at most 10**-D (1 + |z|).
 
-* The sparse route, for the closed-form p_n (``poly.beta`` set).  The n
+* The sparse route, for the closed-form p_n (a :class:`SparseForm`).  The n
   eigenvalues, the zeros of f = (1 - t)(1 - t/beta) p_n = a + t**n b other
   than 1 and beta, are seeded from the phase equation t**n = -a(t)/b(t)
   near the unit circle and from the zeros of a and b off it, then polished
@@ -20,11 +20,12 @@ one zero) and of radius at most 10**-D (1 + |z|).
   Their n disks, f's own, must also exclude the points 1 and beta; a real
   eigenvalue is returned with imaginary part exactly 0.  If the seeds are
   not n or no level certifies, the route logs why and the Aberth ladder
-  runs instead (a target beyond the ladder's top raises at once).
-* The Ehrlich-Aberth ladder, for every other polynomial: simultaneous
-  iteration (no deflation, so the unit-circle cluster stays coupled) from
-  degree-many points on the circles of the Newton polygon of log|c_k|;
-  the first sweeps run in guarded IEEE float64, after which the
+  runs on the dense coefficients, built only then (a target beyond the
+  ladder's top raises at once).
+* The Ehrlich-Aberth ladder, for a coefficient vector (:class:`PrecPoly`):
+  simultaneous iteration (no deflation, so the unit-circle cluster stays
+  coupled) from degree-many points on the circles of the Newton polygon of
+  log|c_k|; the first sweeps run in guarded IEEE float64, after which the
   multiprecision ladder takes over.  Its d disks come from one ball Horner
   pass for p and p' on the exact coefficients; for a real polynomial a disk
   that meets the real axis is moved onto it if the disks still certify.
@@ -57,7 +58,7 @@ from .errors import (
     InvalidParameterError,
     RefinementFailureError,
 )
-from .charpoly import PrecPoly, SparseForm, eval_sparse, sparse_form
+from .charpoly import PrecPoly, SparseForm, charpoly_closed_form, eval_sparse
 from .matrices import BetaParam
 from .numerics import (
     ball_from,
@@ -99,6 +100,7 @@ class RootSet:
     For a real polynomial a root with imaginary part exactly 0 is certified
     real.  On the sparse route ``iterations`` sums over levels the most
     Newton steps any root took; on the Aberth ladder it counts sweeps.
+    ``beta`` is a :class:`SparseForm`'s on either route, None for a PrecPoly.
     """
 
     roots: tuple
@@ -122,7 +124,7 @@ class RootSet:
         """The report at ``target_digits`` digits (residuals at 3)."""
         d = self.target_digits
         payload = {
-            "beta": str(self.beta) if self.beta is not None else None,
+            "beta": None if self.beta is None else str(self.beta),
             "n": self.degree,
             "precision_bits": self.precision_used,
             "roots": [
@@ -337,7 +339,7 @@ def _real_centres(poly: PrecPoly, z: list, rho: list, target_digits: int):
     return z, rho
 
 
-def _root_set(poly, roots, radii, prec, iterations, target_digits) -> RootSet:
+def _root_set(beta, roots, radii, prec, iterations, target_digits) -> RootSet:
     """The certified roots as mpc, sorted by argument, as a :class:`RootSet`."""
     with with_precision(prec + 32):
         roots = [mp.mpc(z) for z in roots]
@@ -345,7 +347,7 @@ def _root_set(poly, roots, radii, prec, iterations, target_digits) -> RootSet:
     return RootSet(roots=tuple(roots[j] for j in order),
                    radii=tuple(radii[j] for j in order),
                    precision_used=prec, iterations=iterations,
-                   target_digits=target_digits, beta=poly.beta)
+                   target_digits=target_digits, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +528,8 @@ def _ladder_exhausted(target_digits: int, ladder: tuple, rho, min_gap, best):
         f"{_disk_fields(rho, min_gap)}", best=best)
 
 
-def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
-    """The sparse route of :func:`solve_all` for closed-form p_n.
+def _solve_sparse(form: SparseForm, target_digits: int) -> RootSet | None:
+    """The sparse route of :func:`solve_all` for the closed-form p_n.
 
     Newton on f = (1 - t)(1 - t/beta) p_n = a + t**n b polishes the seeds of
     :func:`_phase_seeds` at each level of the ladder, O(log n) operations
@@ -540,8 +542,7 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     either, it raises :class:`ConvergenceFailureError` with the last iterates
     instead.
     """
-    d = poly.degree
-    form = sparse_form(poly.beta, d)
+    d = form.n
     z = _phase_seeds(form)
     count = sum(1 if isinstance(s, float) else 2 for s in z) if form.is_real else len(z)
     if count != d:
@@ -566,7 +567,7 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
         if not settled:
             return _refuse(d, f"newton did not settle at {prec} bits")
         if certified:
-            return _root_set(poly, zeros, rho, prec, iterations, target_digits)
+            return _root_set(form.beta, zeros, rho, prec, iterations, target_digits)
         if zeros is None:
             return _refuse(d, f"overlapping disks at {prec} bits")
     if ladder[-1] + 32 < target_bits:
@@ -574,27 +575,30 @@ def _solve_sparse(poly: PrecPoly, target_digits: int) -> RootSet | None:
     return _refuse(d, "no level certified")
 
 
-def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
+def solve_all(poly: PrecPoly | SparseForm, target_digits: int) -> RootSet:
     """Find all roots of ``poly`` certified to ``target_digits`` digits.
 
-    Closed-form p_n (``poly.beta`` set) first take the sparse route
-    (:func:`_solve_sparse`).  When it declines, and for every other
-    polynomial, the Aberth ladder runs, each level seeded by the last, and
-    accepts the first level at which it converged, the d disks of
-    :func:`_dense_disks` are disjoint and each radius is at most
-    10**-D (1 + |z|).  Otherwise it raises :class:`ConvergenceFailureError`
-    with the last iterate, the message ending with that level's bits,
-    largest radius and least gap.
+    A :class:`SparseForm`, the closed-form p_n, takes the sparse route
+    (:func:`_solve_sparse`); only if that declines are its dense coefficients
+    built for the Aberth ladder, and the result keeps its beta.  A
+    :class:`PrecPoly` goes straight to the ladder.  It accepts the first level
+    (each seeded by the last) that converged with the d disks of
+    :func:`_dense_disks` disjoint and of radius at most 10**-D (1 + |z|), or
+    raises :class:`ConvergenceFailureError` with the last iterate, ending its
+    message with that level's bits, largest radius and least gap.
     """
     if target_digits < 1:
         raise InvalidParameterError("target_digits must be >= 1")
+    beta = None
+    if isinstance(poly, SparseForm):
+        form = poly
+        rs = _solve_sparse(form, target_digits)
+        if rs is not None:
+            return rs
+        beta, poly = form.beta, charpoly_closed_form(form.beta, form.n)
     d = poly.degree
     if d < 1:
         raise InvalidParameterError("polynomial degree must be >= 1")
-    if poly.beta is not None:
-        rs = _solve_sparse(poly, target_digits)
-        if rs is not None:
-            return rs
 
     starts = _polygon_starts(poly.coeffs)
     seeds = _float_warm_start(poly.coeffs, starts)
@@ -618,7 +622,7 @@ def solve_all(poly: PrecPoly, target_digits: int) -> RootSet:
                   "certified=%s %s seconds=%.6f", d, prec, sweeps, ok, certified,
                   _disk_fields(rho, min_gap), time.perf_counter() - started)
         if certified:
-            return _root_set(poly, z, rho, prec, total_sweeps, target_digits)
+            return _root_set(beta, z, rho, prec, total_sweeps, target_digits)
     raise _ladder_exhausted(target_digits, ladder, rho, min_gap, z)
 
 

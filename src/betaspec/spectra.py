@@ -35,6 +35,7 @@ from .errors import (
     SingularityError,
     UnknownTestFunctionError,
 )
+# charpoly_closed_form is not called here; bench/spans.py wraps it by this name
 from .charpoly import charpoly_closed_form, sparse_form
 from .matrices import REAL_GT1, BetaParam
 from .numerics import (
@@ -55,10 +56,11 @@ CONDITION_BOUND_TOL = 0.02
 def eigenvalues(beta: BetaParam, n: int, target_digits: int = DEFAULT_EIG_DIGITS) -> RootSet:
     """All eigenvalues of the order-n member as certified polynomial roots.
 
+    Solved from p_n's five-term :func:`~betaspec.charpoly.sparse_form`.
     Results are cached per (beta, n, target_digits); RootSet is immutable, so
     sharing the cached object is safe.
     """
-    return solve_all(charpoly_closed_form(beta, n), target_digits)
+    return solve_all(sparse_form(beta, n), target_digits)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_pointwise_convergence_spot():
 def test_poly_json_schema():
     beta = BetaParam.parse("4/3")
     p = charpoly_closed_form(beta, 3)
-    doc = json.loads(poly_to_json(p))
+    doc = json.loads(poly_to_json(p, beta))
     assert doc["degree"] == 3
     assert doc["beta"] == "4/3"
     assert doc["exact"] is True

@@ -365,6 +365,34 @@ def test_digits_beyond_the_ladder_top_exit_1(capsys, caplog, command):
         assert not any(r.getMessage().startswith("solve_all degree=") for r in caplog.records)
 
 
+def test_a_certified_sparse_spectrum_never_builds_the_dense_polynomial(
+        tmp_path, capsys, monkeypatch):
+    # the closed-form p_n reaches the solver as its five-term form; its n + 1
+    # dense coefficients are built only where the sparse route declines
+    calls = []
+    build = betaspec.rootfind.charpoly_closed_form
+
+    def counted(beta, n):
+        calls.append((str(beta), n))
+        return build(beta, n)
+
+    eigenvalues.cache_clear()
+    for module in (betaspec.rootfind, betaspec.spectra):
+        monkeypatch.setattr(module, "charpoly_closed_form", counted)
+    for argv in (["eigs", "--beta=4/3", "--n", "100"],
+                 ["reproduce", "fig1", "--n", "50", "--out", str(tmp_path)],
+                 ["cluster", "--beta=4/3", "--n", "60"],
+                 ["weyl", "--beta=3", "--n", "40", "--kind", "eigen"]):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    assert calls == []
+    # beta = 1/2 declines (seeds=42): one build, and the Aberth route's bytes
+    argv, name, digest = next(r for r in REFERENCE_OUTPUTS if "--beta=1/2" in r[0])
+    assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
+    assert calls == [("1/2", 40)]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_beta1_digits_beyond_the_ladder_top_exit_1(capsys):
     # 3000 digits at n = 50 need a bracket of about 10000 bits, more than the
     # 8192-bit top level: the refinement refuses rather than print uncertified digits

@@ -58,7 +58,7 @@ def _assert_disks(rs):
 def test_degree_one_closed_form(beta_text):
     # p_1(t) = t - (1/beta - 1): the one disk holds that exact zero
     beta = BetaParam.parse(beta_text)
-    rs = solve_all(charpoly_closed_form(beta, 1), 30)
+    rs = solve_all(sparse_form(beta, 1), 30)
     assert len(rs.roots) == 1
     _assert_disks(rs)
     z = rs.roots[0]
@@ -69,14 +69,14 @@ def test_degree_one_closed_form(beta_text):
 def test_small_order_matches_dense_eigensolver():
     # independent oracle: LAPACK eigenvalues of the dense float64 matrix
     beta = BetaParam.parse("2")
-    rs = solve_all(charpoly_closed_form(beta, 3), 30)
+    rs = solve_all(sparse_form(beta, 3), 30)
     ev = np.linalg.eigvals(build_beta_matrix(beta, 3).dense_numpy())
     assert optimal_match_distance(rs.roots, ev) < 1e-8
 
 
 def test_reference_outlier_in_root_set():
     beta = BetaParam.parse("4/3")
-    rs = solve_all(charpoly_closed_form(beta, 50), 50)
+    rs = solve_all(sparse_form(beta, 50), 50)
     reals = [z.real for z in rs.roots if abs(z.imag) < mp.mpf(10) ** -25 and z.real > 2]
     assert len(reals) == 1
     assert mp.nstr(reals[0], 51) == REFERENCE_N50
@@ -84,22 +84,22 @@ def test_reference_outlier_in_root_set():
 
 def test_residual_certificates_hold():
     beta = BetaParam.parse("3")
-    rs = solve_all(charpoly_closed_form(beta, 20), 30)
+    rs = solve_all(sparse_form(beta, 20), 30)
     assert len(rs.roots) == 20
     _assert_disks(rs)
 
 
 def test_conjugate_closure_for_real_coefficients():
     beta = BetaParam.parse("4/3")
-    rs = solve_all(charpoly_closed_form(beta, 21), 30)
+    rs = solve_all(sparse_form(beta, 21), 30)
     conj = [mp.conj(z) for z in rs.roots]
     assert optimal_match_distance(rs.roots, conj) < 1e-25
 
 
 def test_determinism_identical_digit_strings():
     beta = BetaParam.parse("3")
-    a = solve_all(charpoly_closed_form(beta, 17), 30)
-    b = solve_all(charpoly_closed_form(beta, 17), 30)
+    a = solve_all(sparse_form(beta, 17), 30)
+    b = solve_all(sparse_form(beta, 17), 30)
     sa = [mp.nstr(z, 30) for z in a.roots]
     sb = [mp.nstr(z, 30) for z in b.roots]
     assert sa == sb
@@ -112,7 +112,7 @@ def test_reversed_roots_are_reciprocals(n):
     beta = BetaParam.parse("4/3")
     digits = 30
     p = charpoly_closed_form(beta, n)
-    rs = solve_all(p, digits)
+    rs = solve_all(sparse_form(beta, n), digits)
     rr = solve_all(reverse_poly(p), digits)
     with mp.workprec(300):
         recip = [1 / z for z in rs.roots]
@@ -138,14 +138,14 @@ def test_solve_inexact_coefficients():
 
 def test_complex_beta_roots():
     beta = BetaParam.parse("1+1i")
-    rs = solve_all(charpoly_closed_form(beta, 8), 25)
+    rs = solve_all(sparse_form(beta, 8), 25)
     assert len(rs.roots) == 8
     _assert_disks(rs)
 
 
 def test_root_report_schema():
     beta = BetaParam.parse("3")
-    rs = solve_all(charpoly_closed_form(beta, 4), 20)
+    rs = solve_all(sparse_form(beta, 4), 20)
     doc = json.loads(rs.as_json())
     assert doc["beta"] == "3"
     assert doc["n"] == 4
@@ -248,7 +248,7 @@ def test_refine_stops_at_first_unsettled_level(caplog):
 
 def test_sorted_by_argument():
     beta = BetaParam.parse("3")
-    rs = solve_all(charpoly_closed_form(beta, 12), 25)
+    rs = solve_all(sparse_form(beta, 12), 25)
     with mp.workprec(rs.precision_used):
         args = []
         for z in rs.roots:
@@ -261,14 +261,14 @@ def test_sorted_by_argument():
 
 def test_solver_logs_one_debug_record_per_level(caplog):
     beta = BetaParam.parse("4/3")
-    # without beta the coefficients take the Aberth ladder
-    aberth_only = PrecPoly(coeffs=charpoly_closed_form(beta, 12).coeffs)
+    # a coefficient vector takes the Aberth ladder, and its result has no beta
     with caplog.at_level(logging.DEBUG, logger="betaspec"):
-        rs = solve_all(aberth_only, 25)
+        rs = solve_all(charpoly_closed_form(beta, 12), 25)
         root, bits = refine_real_root_reported(sparse_form(beta, 30), Fraction(3), 40)
     solve = [r.getMessage() for r in caplog.records if r.message.startswith("solve_all")]
     refine = [r.getMessage() for r in caplog.records if r.message.startswith("refine")]
     assert all(r.name == "betaspec" and r.levelno == logging.DEBUG for r in caplog.records)
+    assert rs.beta is None
     # one record per ladder level, up to the level that certified
     assert [int(m.split("bits=")[1].split()[0]) for m in solve] == \
         [256 * 2 ** k for k in range(len(solve))]
@@ -361,7 +361,7 @@ def test_aberth_route_refuses_a_duplicated_root(monkeypatch):
 
     monkeypatch.setattr(rootfind, "_aberth_level", duplicated)
     with pytest.raises(ConvergenceFailureError) as exc:
-        solve_all(PrecPoly(coeffs=poly.coeffs), 30)
+        solve_all(poly, 30)
     message = str(exc.value)
     assert "last level: bits=2048 max_radius=" in message
     assert float(message.split("min_gap=")[1]) < 0
@@ -371,7 +371,7 @@ def test_aberth_route_refuses_a_duplicated_root(monkeypatch):
 @pytest.mark.parametrize("beta_text", ["4/3", "1/2", "5/3+2/3i"])
 def test_aberth_route_separates_coinciding_warm_starts(monkeypatch, beta_text):
     # two equal seeds meet the tie guard of the first sweep and still certify
-    poly = PrecPoly(coeffs=charpoly_closed_form(BetaParam.parse(beta_text), 20).coeffs)
+    poly = charpoly_closed_form(BetaParam.parse(beta_text), 20)
     ref = solve_all(poly, 30)
     warm_start = rootfind._float_warm_start
 
@@ -389,11 +389,6 @@ def test_aberth_route_separates_coinciding_warm_starts(monkeypatch, beta_text):
 # ---------------------------------------------------------------------------
 # Sparse route: Newton on the five-term form, certified by inclusion disks
 # ---------------------------------------------------------------------------
-
-def _aberth(poly, digits):
-    # the same coefficients without beta take the Aberth ladder
-    return solve_all(PrecPoly(coeffs=poly.coeffs), digits)
-
 
 def _same_roots(got, ref, digits):
     assert len(got.roots) == len(ref.roots)
@@ -435,7 +430,7 @@ def _check_trace_and_determinant(beta, n):
     # the root sum is the exact trace S_n - 1 and the root product the exact
     # determinant (-1)**n (1 - 1/beta)
     digits = 30
-    rs = solve_all(charpoly_closed_form(beta, n), digits)
+    rs = solve_all(sparse_form(beta, n), digits)
     with mp.workprec(4 * digits):
         trace = mpc_from(sum(beta.inverse_powers(n)) - 1)
         assert abs(sum(rs.roots) - trace) < mp.mpf(10) ** (-(digits - 4))
@@ -450,18 +445,17 @@ def _check_trace_and_determinant(beta, n):
 @given(beta=CROSS_BETAS, n=st.integers(min_value=2, max_value=60))
 def test_sparse_route_matches_aberth(beta, n):
     digits = 30
-    poly = charpoly_closed_form(beta, n)
-    sparse = _solve_sparse(poly, digits)
-    got = sparse if sparse is not None else solve_all(poly, digits)
-    _same_roots(got, _aberth(poly, digits), digits)
+    form = sparse_form(beta, n)
+    sparse = _solve_sparse(form, digits)
+    got = sparse if sparse is not None else solve_all(form, digits)
+    _same_roots(got, solve_all(charpoly_closed_form(beta, n), digits), digits)
 
 
 @pytest.mark.parametrize("beta_text,n,digits", [
     ("5", 100, 30), ("3", 51, 30), ("4/3", 101, 30), ("4/3", 70, 200),
     ("3/2-5/4i", 50, 30), ("-3", 40, 30), ("1", 50, 30), ("1", 100, 30)])
 def test_sparse_route_certifies_the_figure_spectra(beta_text, n, digits):
-    poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
-    rs = _solve_sparse(poly, digits)
+    rs = _solve_sparse(sparse_form(BetaParam.parse(beta_text), n), digits)
     assert rs is not None and rs.degree == n
     _assert_disks(rs)
 
@@ -499,13 +493,13 @@ def _replace_real_by_beta(seeds):
     (_replace_by_copy, "overlapping disks"), (_replace_real_by_one, "overlapping disks"),
     (_replace_real_by_beta, "overlapping disks")])
 def test_sparse_route_refuses_a_wrong_seed_set(monkeypatch, caplog, mutate, reason):
-    poly = charpoly_closed_form(BetaParam.parse("4/3"), 50)
-    ref = _aberth(poly, 30)
+    form = sparse_form(BetaParam.parse("4/3"), 50)
+    ref = solve_all(charpoly_closed_form(form.beta, 50), 30)
     seeds = rootfind._phase_seeds
     monkeypatch.setattr(rootfind, "_phase_seeds", lambda form: mutate(seeds(form)))
     with caplog.at_level(logging.DEBUG, logger="betaspec"):
-        assert _solve_sparse(poly, 30) is None
-        rs = solve_all(poly, 30)
+        assert _solve_sparse(form, 30) is None
+        rs = solve_all(form, 30)
     fallback = [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()]
     assert len(fallback) == 2 and all(reason in m for m in fallback)
     assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in ref.roots]
@@ -513,19 +507,21 @@ def test_sparse_route_refuses_a_wrong_seed_set(monkeypatch, caplog, mutate, reas
 
 @pytest.mark.parametrize("beta_text,n", [("39/20", 8), ("2", 20)])
 def test_fallback_gives_the_aberth_result(caplog, beta_text, n):
-    poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
+    form = sparse_form(BetaParam.parse(beta_text), n)
     with caplog.at_level(logging.DEBUG, logger="betaspec"):
-        rs = solve_all(poly, 30)
+        rs = solve_all(form, 30)
     fallback = [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()]
     assert len(fallback) == 1 and "reason=" in fallback[0]
-    ref = _aberth(poly, 30)
+    ref = solve_all(charpoly_closed_form(form.beta, n), 30)
     assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in ref.roots]
     assert (rs.precision_used, rs.iterations) == (ref.precision_used, ref.iterations)
+    # the fallback still reports the form's beta, which the cluster CSV prints
+    assert rs.beta == form.beta
 
 
 def test_sparse_route_logs_one_debug_record_per_level(caplog):
     with caplog.at_level(logging.DEBUG, logger="betaspec"):
-        rs = solve_all(charpoly_closed_form(BetaParam.parse("4/3"), 70), 200)
+        rs = solve_all(sparse_form(BetaParam.parse("4/3"), 70), 200)
     records = [r.getMessage() for r in caplog.records if r.message.startswith("solve_all")]
     assert all(m.startswith("solve_all sparse degree=70 level: ") for m in records)
     # 1024 bits is the first level whose disks are within 10**-200 (1 + |z|)
@@ -541,15 +537,15 @@ def test_sparse_route_logs_one_debug_record_per_level(caplog):
     assert all("seconds=" in m for m in records)
 
 
-@pytest.mark.parametrize("route,beta_text,n", [
-    pytest.param(route, beta_text, n, id=f"{prefix}{beta_text}-{n}")
-    for prefix, route in (("", _solve_sparse), ("aberth-", _aberth))
+@pytest.mark.parametrize("route,build,beta_text,n", [
+    pytest.param(route, build, beta_text, n, id=f"{prefix}{beta_text}-{n}")
+    for prefix, route, build in (("", _solve_sparse, sparse_form),
+                                 ("aberth-", solve_all, charpoly_closed_form))
     for beta_text, n in (("4/3", 20), ("3/2-5/4i", 15), ("5", 12))])
-def test_residuals_are_relative_radii_within_the_target(route, beta_text, n):
+def test_residuals_are_relative_radii_within_the_target(route, build, beta_text, n):
     # the residual is the radius over (1 + |z|), the quantity the
     # certificate bounds by 10**-D, on either route
-    poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
-    rs = route(poly, 30)
+    rs = route(build(BetaParam.parse(beta_text), n), 30)
     assert rs is not None and rs.degree == n
     for z, r, rad in zip(rs.roots, rs.residuals, rs.radii):
         assert r == rad / (1 + abs(z))
@@ -655,9 +651,8 @@ def test_ball_disks_are_no_wider_than_interval_disks(beta_text, n, digits):
     # to about 1/100 at the outlier near 3), where the coefficients' and the
     # centre's rounding dominate mp.iv's bound and the ball carries
     # rootfind.DISK_GUARD_BITS more bits.
-    beta = BetaParam.parse(beta_text)
-    rs = solve_all(charpoly_closed_form(beta, n), digits)
-    form = sparse_form(beta, n)
+    form = sparse_form(BetaParam.parse(beta_text), n)
+    rs = solve_all(form, digits)
     bits = rs.precision_used + 32
     with with_precision(bits), iv_precision(bits):
         rho = rootfind._inclusion_disks(form, list(rs.roots))[1][:n]
@@ -689,8 +684,8 @@ def test_package_never_uses_mp_iv(monkeypatch, capsys):
 def test_sparse_route_refuses_a_perturbed_root(monkeypatch, caplog):
     # moved by 10**-25 (1 + |z|), every disk still holds its zero but is
     # far wider than 10**-30 (1 + |z|): no level certifies 30 digits
-    poly = charpoly_closed_form(BetaParam.parse("4/3"), 20)
-    ref = _aberth(poly, 30)
+    form = sparse_form(BetaParam.parse("4/3"), 20)
+    ref = solve_all(charpoly_closed_form(form.beta, 20), 30)
     newton = rootfind._newton
 
     def perturbed(cs, n, t, tol):
@@ -701,8 +696,8 @@ def test_sparse_route_refuses_a_perturbed_root(monkeypatch, caplog):
 
     monkeypatch.setattr(rootfind, "_newton", perturbed)
     with caplog.at_level(logging.DEBUG, logger="betaspec"):
-        assert _solve_sparse(poly, 30) is None
-        rs = solve_all(poly, 30)
+        assert _solve_sparse(form, 30) is None
+        rs = solve_all(form, 30)
     messages = [r.getMessage() for r in caplog.records]
     fallback = [m for m in messages if "fallback" in m]
     assert len(fallback) == 2 and all("no level certified" in m for m in fallback)
@@ -735,7 +730,7 @@ def test_aberth_real_roots_print_imaginary_part_zero(beta_text, n):
 def test_real_beta_roots_are_real_or_exact_conjugates(beta_text, n):
     beta = BetaParam.parse(beta_text)
     poly = charpoly_closed_form(beta, n)
-    rs = solve_all(poly, 30)
+    rs = solve_all(sparse_form(beta, n), 30)
     tuples = {z._mpc_ for z in rs.roots}
     real = [z for z in rs.roots if z.imag == 0]
     assert real or n % 2 == 0  # an odd degree has a real zero
