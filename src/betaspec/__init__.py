@@ -45,6 +45,7 @@ from .charpoly import (
     PrecPoly,
     SparseForm,
     charpoly_closed_form,
+    charpoly_strings,
     det_oracle,
     eval_limit,
     limit_derivative,

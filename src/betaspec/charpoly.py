@@ -6,12 +6,27 @@ det(t*I - B) works out to::
     p_n(t) = sum_{j=0..n} t**j  -  sum_{i=1..n} sum_{j=0..n-i} t**(i+j-1) * beta**-i
 
 Aggregating the double sum by powers of t gives the O(n) coefficient rule
-implemented here: the coefficient of t**m for m < n is
-``1 - sum_{i=1..m+1} beta**-i`` and the leading coefficient is 1.  The
-constant term is ``1 - beta**-1``, so 0 is never an eigenvalue for beta > 1.
-Successive coefficients differ by ``-beta**-(m+1)``, so multiplying by
-(1 - t)(1 - t/beta) telescopes p_n into five terms, a(t) + t**n b(t)
+implemented here: with x = 1/beta, the coefficient of t**m for m < n is
+``c_m = 1 - (x + ... + x**(m+1))`` and the leading coefficient is 1.  The
+constant term is ``1 - x``, so 0 is never an eigenvalue for beta > 1.
+Successive coefficients differ by ``-x**(m+1)``, so multiplying by
+(1 - t)(1 - x t) telescopes p_n into five terms, a(t) + t**n b(t)
 (:func:`sparse_form`), which evaluate in O(log n).
+
+The coefficients obey one step, ``c_m = x c_{m-1} + (1 - 2x)`` from
+c_{-1} = 1, which :func:`charpoly_closed_form` runs over exact rationals.
+For real beta, :func:`charpoly_strings` runs it over integers to print
+them.  Take beta = P/Q in lowest terms, so x = u/L with L = |P|,
+u = sign(P) Q and gcd(u, L) = 1.  Scaled by L**k, c_{k-1} = D_k / L**k
+with::
+
+    D_0 = 1,   D_k = u D_{k-1} + (L - 2u) L**(k-1).
+
+Then D_1 = L - u and D_k = -u**k (mod L) for k >= 1, so gcd(D_k, L) = 1:
+every D_k / L**k is in lowest terms as computed and prints with no gcd.
+The integers are ``decimal.Decimal`` values in a context that traps any
+rounding, so each step and each conversion to text takes time linear in the
+digits, with no cap on their number.
 
 The geometric split q_n - r_n, the coefficient reversal t**n * p(1/t)
 (which maps roots to reciprocals), and the two rational limit functions the
@@ -21,8 +36,10 @@ form on small orders.
 """
 from __future__ import annotations
 
+import decimal
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,14 +53,17 @@ from .errors import (
     ZeroRootError,
 )
 from .matrices import REAL_GT1, BetaParam
+# decimal_str is not called here; bench/spans.py wraps it by this name
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     QComplex,
     ball_from,
     decimal_str,
+    exact_str,
     mpc_from,
     mpf_from,
     polyval,
+    ratio_str,
     with_precision,
 )
 
@@ -122,19 +142,46 @@ class PrecPoly:
 def charpoly_closed_form(beta: BetaParam, n: int) -> PrecPoly:
     """Characteristic polynomial of the order-n family member, O(n) exact.
 
-    Coefficient of t**m is ``1 - (beta**-1 + ... + beta**-(m+1))`` for
-    m = 0..n-1 and 1 for m = n, via prefix sums of the inverse powers.
+    Coefficient of t**m is ``1 - (x + ... + x**(m+1))``, x = 1/beta, for
+    m = 0..n-1 and 1 for m = n, by the step c_m = x c_{m-1} + (1 - 2x).
     """
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
-    inv_powers = beta.inverse_powers(n)
-    coeffs = []
-    s = inv_powers[0] * 0
-    for m in range(n):
-        s = s + inv_powers[m]
-        coeffs.append(1 - s)
-    coeffs.append(s * 0 + 1)
+    x = beta.inverse
+    one = x * 0 + 1
+    c, step, coeffs = one, 1 - 2 * x, []
+    for _ in range(n):
+        c = x * c + step
+        coeffs.append(c)
+    coeffs.append(one)
     return PrecPoly(coeffs=tuple(coeffs))
+
+
+# Integer arithmetic in decimal that raises rather than round.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                decimal.Overflow, decimal.Inexact, decimal.Rounded])
+
+
+def charpoly_strings(beta: BetaParam, n: int) -> list[str]:
+    """The n + 1 coefficients of :func:`charpoly_closed_form`, low to high,
+    as ``str`` prints them: for real beta from the integer recurrence D_k of
+    the module docstring, for complex beta from the Fractions."""
+    if n < 1:
+        raise InvalidOrderError(f"order must be >= 1, got {n}")
+    x = beta.inverse
+    if isinstance(x, QComplex):
+        return [exact_str(c) for c in charpoly_closed_form(beta, n).coeffs]
+    L, out = x.denominator, []
+    with decimal.localcontext(_EXACT):
+        u = Decimal(x.numerator)
+        step, d, lk = L - 2 * u, Decimal(1), Decimal(1)
+        for _ in range(n):
+            d = u * d + step * lk
+            lk *= L
+            out.append(ratio_str(d, lk))
+    out.append("1")
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,13 +325,13 @@ def reverse_poly(poly: PrecPoly) -> PrecPoly:
     return PrecPoly(coeffs=tuple(reversed(poly.coeffs)))
 
 
-def poly_to_json(poly: PrecPoly, beta: BetaParam | None = None, digits: int = 30) -> str:
-    """JSON export: degree, low-to-high coefficient strings, beta, exactness."""
-    exact = poly.exact
+def poly_to_json(coeffs: Sequence[str], beta: BetaParam | None = None,
+                 exact: bool = True) -> str:
+    """JSON export: degree, the low-to-high coefficient strings (those of
+    :func:`charpoly_strings` when exact), beta, exactness."""
     payload = {
-        "degree": poly.degree,
-        "coeffs": [str(c) if exact else decimal_str(c, digits)
-                   for c in poly.coeffs],
+        "degree": len(coeffs) - 1,
+        "coeffs": list(coeffs),
         "beta": str(beta) if beta is not None else None,
         "exact": exact,
     }

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import BetaSpecError
-from .charpoly import charpoly_closed_form, poly_to_json
+from .charpoly import charpoly_closed_form, charpoly_strings, poly_to_json
 from .limitcase import (
     beta1_table_csv,
     first_component_reference,
@@ -113,11 +113,16 @@ def _matrix(args) -> str:
 
 
 def _charpoly(args) -> str:
-    poly = charpoly_closed_form(args.beta, args.n)
+    """Exact text (JSON, --exact CSV) from :func:`charpoly_strings`; decimal
+    CSV from the Fractions."""
     if args.fmt == "json":
-        return poly_to_json(poly, args.beta, digits=args.digits) + "\n"
-    return _lines("k,coefficient", (f"{k},{scalar_str(c, args.digits, args.exact)}"
-                                    for k, c in enumerate(poly.coeffs)))
+        return poly_to_json(charpoly_strings(args.beta, args.n), args.beta) + "\n"
+    if args.exact:
+        coeffs = charpoly_strings(args.beta, args.n)
+    else:
+        coeffs = [decimal_str(c, args.digits)
+                  for c in charpoly_closed_form(args.beta, args.n).coeffs]
+    return _lines("k,coefficient", (f"{k},{c}" for k, c in enumerate(coeffs)))
 
 
 def _eigs(args) -> str:

@@ -100,10 +100,16 @@ class BetaParam:
             return self.value * self.value
         return self.value.abs2()
 
+    @property
+    def inverse(self) -> Fraction | QComplex:
+        """Exact 1/beta, of the type of ``value``."""
+        if isinstance(self.value, Fraction):
+            return 1 / self.value
+        return self.value.inverse()
+
     def inverse_powers(self, count: int) -> list:
         """Exact [beta**-1, ..., beta**-count]."""
-        inv = (Fraction(1) / self.value if isinstance(self.value, Fraction)
-               else self.value.inverse())
+        inv = self.inverse
         out = []
         acc = inv
         for _ in range(count):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -454,5 +455,24 @@ def decimal_str(x, digits: int) -> str:
 def scalar_str(x, digits: int, exact: bool = False) -> str:
     """Render a scalar either exactly (p/q form) or as a decimal string."""
     if exact and isinstance(x, (int, Fraction, QComplex)):
-        return str(x)
+        return exact_str(x)
     return decimal_str(x, digits)
+
+
+def exact_str(x) -> str:
+    """``str(x)`` of an int, Fraction or QComplex, also past CPython's digit
+    cap on int-to-str conversion (``sys.get_int_max_str_digits()``)."""
+    try:
+        return str(x)
+    except ValueError:  # past the cap: Decimal(int) converts in binary
+        if not isinstance(x, QComplex):
+            return ratio_str(*map(Decimal, x.as_integer_ratio()))
+        if x.im == 0:
+            return exact_str(x.re)
+        return f"{exact_str(x.re)}{'+' if x.im >= 0 else '-'}{exact_str(abs(x.im))}i"
+
+
+def ratio_str(num: Decimal, den: Decimal) -> str:
+    """``str(Fraction(num, den))`` for Decimal integers num/den in lowest
+    terms with den > 0."""
+    return f"{num}" if den == 1 else f"{num}/{den}"

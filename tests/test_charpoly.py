@@ -20,6 +20,7 @@ from betaspec import (
     build_aux_matrix,
     build_shifted,
     charpoly_closed_form,
+    charpoly_strings,
     det_oracle,
     eval_limit,
     limit_derivative,
@@ -30,7 +31,7 @@ from betaspec import (
     symbolic_t,
 )
 from betaspec.charpoly import eval_sparse
-from betaspec.numerics import QComplex, fixed_from, mpc_from, mpf_from, polyval
+from betaspec.numerics import QComplex, decimal_str, fixed_from, mpc_from, mpf_from, polyval
 
 BETAS = [BetaParam.parse(s) for s in ("4/3", "3/2", "2", "3", "5")]
 
@@ -159,6 +160,49 @@ def test_complex_beta_coefficients():
     assert p.constant_term == 1 - inv
 
 
+# ---------------------------------------------------------------------------
+# Exact coefficient text from the integer recurrence D_k
+# ---------------------------------------------------------------------------
+
+_NUMERATORS = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool)
+_DENOMINATORS = st.integers(min_value=1, max_value=10 ** 6)
+_RATIONALS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+TEXT_BETAS = st.one_of(
+    _RATIONALS,                                            # |beta| < 1 among them
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    _NUMERATORS.map(Fraction),                             # integers
+    _DENOMINATORS.map(lambda q: Fraction(1, q)),
+    st.builds(QComplex, _RATIONALS | st.just(Fraction(0)), _RATIONALS),
+    st.builds(QComplex, _SMALL, _SMALL.filter(bool)),
+).map(BetaParam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(beta=TEXT_BETAS, n=st.integers(min_value=1, max_value=80))
+def test_coefficient_strings_print_the_fractions(beta, n):
+    # the Fractions of the one-step rule are the prefix sums 1 - (x + ... + x**(m+1))
+    inv = beta.inverse_powers(n)
+    coeffs = charpoly_closed_form(beta, n).coeffs
+    assert coeffs[:-1] == tuple(1 - sum(inv[:m + 1]) for m in range(n))
+    # real beta prints each D_k / L**k unreduced, so equal text means it was
+    # in lowest terms as computed
+    assert charpoly_strings(beta, n) == [str(c) for c in coeffs]
+
+
+def test_coefficient_strings_print_zero_parts():
+    # beta = 1: c_0 = 0 and c_m = -m.  x = i: S_k runs i, i - 1, -1, 0, so
+    # c_2 and c_3 are real.  x = 1 + i: c_0 = -i has real part 0.
+    for text, n, want in (("1", 3, ["0", "-1", "-2", "1"]),
+                          ("-1i", 4, ["1-1i", "2-1i", "2", "1", "1"]),
+                          ("1/2-1/2i", 1, ["0-1i", "1"])):
+        beta = BetaParam.parse(text)
+        assert charpoly_strings(beta, n) == want
+        assert want == [str(c) for c in charpoly_closed_form(beta, n).coeffs]
+    with pytest.raises(InvalidOrderError):
+        charpoly_strings(BetaParam.parse("4/3"), 0)
+
+
 def test_limit_function_values():
     beta = BetaParam.parse("4/3")
     f = LimitFunction(tag="p", beta=beta)
@@ -218,8 +262,7 @@ def test_pointwise_convergence_spot():
 
 def test_poly_json_schema():
     beta = BetaParam.parse("4/3")
-    p = charpoly_closed_form(beta, 3)
-    doc = json.loads(poly_to_json(p, beta))
+    doc = json.loads(poly_to_json(charpoly_strings(beta, 3), beta))
     assert doc["degree"] == 3
     assert doc["beta"] == "4/3"
     assert doc["exact"] is True
@@ -233,7 +276,8 @@ def test_exactness_follows_coefficients():
     with mp.workprec(128):
         inexact = PrecPoly(coeffs=(mp.mpf(1) / 3, mp.mpc(0, 1), mp.mpf(1)))
     assert not inexact.exact
-    doc = json.loads(poly_to_json(inexact, digits=5))
+    doc = json.loads(poly_to_json([decimal_str(c, 5) for c in inexact.coeffs],
+                                  exact=inexact.exact))
     assert doc["exact"] is False
     assert doc["coeffs"] == ["0.33333", "(0.0 + 1.0j)", "1.0"]
     with pytest.raises(InvalidParameterError):

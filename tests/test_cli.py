@@ -52,6 +52,13 @@ REFERENCE_OUTPUTS = (
      "eigs.csv", "97a724cd858facaf2a6047d49ca19a1caa8d0502b12dda5ea635acb0a2ad8fb2"),
     (("cluster", "--beta=4/3", "--n", "60", "--out", "{out}/cluster.csv"),
      "cluster.csv", "e2d25af205ee9d750ad82b1ee7828e5fcfe3e47f8ec7971d0de0268bbc1ac434"),
+    # exact coefficients at the order the structured benchmark prints
+    (("charpoly", "--beta=4/3", "--n", "1600", "--exact", "--out", "{out}/cp.csv"),
+     "cp.csv", "3510264b34f73d2f61ceea0e24bacb1818830d80e37b013118ddf5d2ad3feb0c"),
+    (("charpoly", "--beta=4/3", "--n", "1600", "--format", "json", "--out", "{out}/cp.json"),
+     "cp.json", "eada52b1d49fdb8270e037b1d9987377c0c5e3d62d4f7056be27b3a1e0709d6d"),
+    (("charpoly", "--beta=3/2+1i", "--n", "50", "--exact", "--out", "{out}/cp.csv"),
+     "cp.csv", "3db492ab6c2e25511977f655072742cb22c98692f05fc7a13880c701a8c8512b"),
 )
 
 # Commands run in a fresh process, and whether they load numpy.  Only the
@@ -393,6 +400,32 @@ def test_a_certified_sparse_spectrum_never_builds_the_dense_polynomial(
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python does not cap int-to-str conversion")
+def test_exact_output_past_the_int_str_digit_cap(tmp_path):
+    # beta**-45 has a numerator and a denominator of about 4500 digits, past
+    # the 4300 to which str(int) is capped by default
+    text = f"{10 ** 100 + 1}/{10 ** 100}"
+    beta, n = BetaParam.parse(text), 45
+    outputs = {"matrix.csv": ("matrix", "--exact"), "charpoly.csv": ("charpoly", "--exact"),
+               "charpoly.json": ("charpoly", "--format", "json")}
+    for name, argv in outputs.items():
+        assert run([*argv, f"--beta={text}", "--n", str(n), "--out", str(tmp_path / name)]) == 0
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = build_beta_matrix(beta, n).dense_exact()
+        want_matrix = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        want = [str(c) for c in charpoly_closed_form(beta, n).coeffs]
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert len(want[-2]) > 2 * 4300
+    assert (tmp_path / "matrix.csv").read_text() == want_matrix
+    lines = (tmp_path / "charpoly.csv").read_text().splitlines()
+    assert lines == ["k,coefficient", *(f"{k},{c}" for k, c in enumerate(want))]
+    assert json.loads((tmp_path / "charpoly.json").read_text())["coeffs"] == want
+
+
 def test_beta1_digits_beyond_the_ladder_top_exit_1(capsys):
     # 3000 digits at n = 50 need a bracket of about 10000 bits, more than the
     # 8192-bit top level: the refinement refuses rather than print uncertified digits
@@ -512,7 +545,8 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
 @pytest.mark.parametrize("argv,name,digest", REFERENCE_OUTPUTS,
                          ids=["reproduce", "singvals", "outliers", "outliers-4096bit",
                               "beta1", "singvals-n1600", "weyl", "table1",
-                              "eigs-sparse", "eigs-aberth", "cluster"])
+                              "eigs-sparse", "eigs-aberth", "cluster", "charpoly-exact",
+                              "charpoly-json", "charpoly-complex"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
