@@ -23,7 +23,6 @@ from .errors import (
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
-    ExactRational,
     QComplex,
     decimal_str,
     fraction_from_mpf,

@@ -89,21 +89,8 @@ class PrecPoly:
                 "leading coefficient must be nonzero (only the constant 0 may be zero)")
 
     @property
-    def exact(self) -> bool:
-        """True iff no coefficient is an mpf or mpc."""
-        return not any(isinstance(c, (mp.mpf, mp.mpc)) for c in self.coeffs)
-
-    @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def constant_term(self):
-        return self.coeffs[0]
-
-    @property
-    def leading_coeff(self):
-        return self.coeffs[-1]
 
     @property
     def is_real(self) -> bool:
@@ -114,29 +101,19 @@ class PrecPoly:
                 return False
         return True
 
-    def coeffs_mp(self, real: bool) -> list:
-        """Coefficients as mpf (``real``) or mpc at the ambient precision."""
-        conv = mpf_from if real else mpc_from
-        return [conv(c) for c in self.coeffs]
+    def coeffs_mp(self) -> list:
+        """Coefficients as mpc at the ambient precision."""
+        return [mpc_from(c) for c in self.coeffs]
 
     def eval_exact(self, t):
-        """Horner evaluation over exact scalars."""
-        if not self.exact:
-            raise InvalidParameterError("eval_exact requires an exact polynomial")
-        if isinstance(t, int):
-            t = Fraction(t)
-        acc = self.coeffs[-1] * (t * 0 + 1)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * t + c
-        return acc
+        """p(t) by :func:`eval_dense` over exact scalars; a QComplex t gives
+        a QComplex also at degree 0."""
+        return eval_dense(self.coeffs, t)[0] + t * 0
 
-    def eval_mp(self, t, bits: int = DEFAULT_PRECISION_BITS):
-        """Value at t by :func:`~betaspec.numerics.polyval` at ``bits``; complex
-        t, or real t with complex coefficients, gives mpc."""
+    def eval_mp(self, t, bits: int = DEFAULT_PRECISION_BITS) -> mp.mpc:
+        """p(t) as mpc by :func:`~betaspec.numerics.polyval` at ``bits``."""
         with with_precision(bits):
-            tv = mpc_from(t) if isinstance(t, (complex, mp.mpc, QComplex)) else mpf_from(t)
-            cs = self.coeffs_mp(real=isinstance(tv, mp.mpf) and self.is_real)
-            return polyval(cs[::-1], tv)
+            return polyval(self.coeffs_mp()[::-1], mpc_from(t))
 
 
 def charpoly_closed_form(beta: BetaParam, n: int) -> PrecPoly:
@@ -276,15 +253,20 @@ class SparseForm:
         return n + (s < rho) - (1 < rho)
 
 
+def geometric(z, m: int):
+    """Exact z + z**2 + ... + z**m from one power of z, in z's type."""
+    d = 1 - z
+    return z * (1 - z ** m) / d if d else z * m
+
+
 def sparse_form(beta: BetaParam, n: int) -> SparseForm:
-    """The :class:`SparseForm` of p_n in O(log n) exact operations (one power of x)."""
+    """The :class:`SparseForm` of p_n in O(log n) exact operations (one power
+    of x): with S_{n+1} = S_n + x**(n+1), b = (S_{n+1}, x - 1 - S_{n+1}, x)."""
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
     x = Fraction(1) / beta.real_value if beta.is_real else beta.value.inverse()
-    xn = x ** n
-    s = x * (1 - xn) / (1 - x) if x != 1 else Fraction(n)
-    return SparseForm(beta=beta, n=n, x=x, a=(1 - x, -x),
-                      b=(s + xn * x, -(1 + x * s), x))
+    s1 = geometric(x, n + 1)
+    return SparseForm(beta=beta, n=n, x=x, a=(1 - x, -x), b=(s1, x - 1 - s1, x))
 
 
 def eval_sparse(cs: Sequence, n: int, t) -> tuple:
@@ -303,6 +285,19 @@ def eval_sparse(cs: Sequence, n: int, t) -> tuple:
     return f, df
 
 
+def eval_dense(cs: Sequence, t) -> tuple:
+    """(p(t), p'(t)) of p = sum cs[k] t**k, ``cs`` low to high, by one Horner
+    pass.
+
+    Generic over arithmetic like :func:`eval_sparse`: exact scalars or
+    integer balls :class:`~betaspec.numerics.Ball`, rounded outward.
+    """
+    f, df = cs[-1], cs[-1] * 0
+    for c in reversed(cs[:-1]):
+        f, df = f * t + c, df * t + f
+    return f, df
+
+
 def split_qr(beta: BetaParam, n: int) -> tuple[PrecPoly, PrecPoly]:
     """Geometric split (q_n, r_n) with q_n - r_n equal to the closed form.
 
@@ -310,7 +305,7 @@ def split_qr(beta: BetaParam, n: int) -> tuple[PrecPoly, PrecPoly]:
     coefficient of t**m equal to the prefix sum beta**-1 + ... + beta**-(m+1).
     """
     p = charpoly_closed_form(beta, n)
-    one = p.leading_coeff
+    one = p.coeffs[-1]
     return (PrecPoly(coeffs=(one,) * (n + 1)),
             PrecPoly(coeffs=tuple(one - c for c in p.coeffs[:-1])))
 
@@ -320,22 +315,16 @@ def reverse_poly(poly: PrecPoly) -> PrecPoly:
 
     Rejects polynomials with constant term 0 (a zero root has no reciprocal).
     """
-    if not poly.constant_term:
+    if not poly.coeffs[0]:
         raise ZeroRootError("cannot reverse a polynomial with constant term 0")
     return PrecPoly(coeffs=tuple(reversed(poly.coeffs)))
 
 
-def poly_to_json(coeffs: Sequence[str], beta: BetaParam | None = None,
-                 exact: bool = True) -> str:
-    """JSON export: degree, the low-to-high coefficient strings (those of
-    :func:`charpoly_strings` when exact), beta, exactness."""
-    payload = {
-        "degree": len(coeffs) - 1,
-        "coeffs": list(coeffs),
-        "beta": str(beta) if beta is not None else None,
-        "exact": exact,
-    }
-    return json.dumps(payload)
+def poly_to_json(coeffs: Sequence[str], beta: BetaParam) -> str:
+    """JSON export: degree, the low-to-high exact coefficient strings of
+    :func:`charpoly_strings`, beta, and ``"exact": true``."""
+    return json.dumps({"degree": len(coeffs) - 1, "coeffs": list(coeffs),
+                       "beta": str(beta), "exact": True})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -298,8 +299,11 @@ def _validate(args) -> None:
     cmd = COMMANDS[args.command]
     if getattr(args, "digits", None) is not None and args.digits < 1:
         raise UsageError("--digits must be >= 1")
-    if getattr(args, "eps", 1) <= 0:
+    eps = getattr(args, "eps", 1)
+    if not eps > 0:  # nan too
         raise UsageError("--eps must be positive")
+    if eps == math.inf:
+        raise UsageError("--eps must be finite")
     if args.n is not None:
         args.n = _parse_n_list(args.n)
         if "order" in cmd.flags:

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .charpoly import sparse_form
+from .charpoly import eval_dense, sparse_form
 from .errors import InvalidOrderError, InvalidParameterError
 from .matrices import BetaParam
 from .numerics import DEFAULT_PRECISION_BITS, decimal_str, with_precision
@@ -63,10 +63,7 @@ def first_component_reference(k: int, n: int) -> int:
     """Evaluate the closed-form (v_k)_1 polynomial at integer n."""
     if k not in FIRST_COMPONENT_POLYS:
         raise InvalidParameterError(f"reference first components cover k=1..5, got {k}")
-    acc = 0
-    for c in reversed(FIRST_COMPONENT_POLYS[k]):
-        acc = acc * n + c
-    return acc
+    return eval_dense(FIRST_COMPONENT_POLYS[k], n)[0]
 
 
 def _block_apply(v: list) -> list:

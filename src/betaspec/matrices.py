@@ -16,7 +16,6 @@ lower-right block ``X = (lower shift) + ones``.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -256,8 +255,5 @@ def matrix_to_csv(rows: Sequence[Sequence], digits: int = 17,
                   exact: bool = False) -> str:
     """CSV rendering: one matrix row per line, entries as decimal strings
     at the requested digit count, or exact "p/q" strings with ``exact``."""
-    buf = io.StringIO()
-    for row in rows:
-        buf.write(",".join(scalar_str(x, digits, exact=exact) for x in row))
-        buf.write("\n")
-    return buf.getvalue()
+    return "".join(",".join(scalar_str(x, digits, exact=exact) for x in row) + "\n"
+                   for row in rows)

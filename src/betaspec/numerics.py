@@ -3,9 +3,8 @@ fixed-point integers and integer balls.
 
 Four scalar kinds flow through the package:
 
-* exact rationals -- ``fractions.Fraction`` (re-exported as
-  :data:`ExactRational`) plus :class:`QComplex` for complex numbers with
-  rational real/imaginary parts.  These back every oracle and every closed
+* exact rationals -- ``fractions.Fraction`` plus :class:`QComplex` for
+  complex numbers with rational real/imaginary parts.  These back every oracle and every closed
   form that stays rational.
 * arbitrary-precision reals and complexes -- mpmath ``mpf``/``mpc`` carried
   at an explicit precision in bits, never below
@@ -35,11 +34,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, mpc_add, mpc_mul, mpf_add, mpf_mul
+from mpmath.libmp import from_man_exp, fzero, mpc_add, mpc_mul
 
 from .errors import InvalidParameterError, PrecisionError
-
-ExactRational = Fraction
 
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 256
@@ -128,14 +125,7 @@ class QComplex:
             raise TypeError("QComplex powers must be integers")
         if k < 0:
             return self.inverse() ** (-k)
-        out = QComplex(Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(QComplex(Fraction(1)), self, k)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -200,9 +190,7 @@ def mpf_from(x) -> mp.mpf:
         den = x.denominator
         s = (den & -den).bit_length() - 1
         return mp.ldexp(mp.mpf(x.numerator) / (den >> s), -s)
-    if isinstance(x, int):
-        return mp.mpf(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return mp.mpf(x)
     if isinstance(x, QComplex) and x.is_real:
         return mpf_from(x.re)
@@ -395,29 +383,24 @@ def _round_bits(v: int, bits: int) -> int:
     return v if drop <= 0 else ((v + (1 << (drop - 1))) >> drop) << drop
 
 
-def polyval(hi, x):
+def polyval(hi, x) -> mp.mpc:
     """Value at ``x`` of the polynomial with coefficients ``hi``, highest
-    degree first, at the ambient precision.
+    degree first, as mpc at the ambient precision.
 
     Runs the operation sequence of :func:`mpmath.polyval`, ``p = c + x*p``,
-    on the raw libmp tuples, so every step is the same correctly rounded
+    on the raw libmp mpc tuples, so every step is the same correctly rounded
     operation and the result is the same value, without mpmath's per-scalar
-    dispatch.  ``x`` and the coefficients are mpf or mpc; if any is complex,
-    all are evaluated as mpc.
+    dispatch.  ``x`` and the coefficients are mpf or mpc, all evaluated as
+    mpc: a real part rounds as in mpf arithmetic, and the imaginary part of
+    real inputs stays exactly 0.
     """
     prec, rnd = mp.mp._prec_rounding
-    if isinstance(x, mp.mpf) and all(isinstance(c, mp.mpf) for c in hi):
-        mul, add = mpf_mul, mpf_add
-        xv = x._mpf_
-        cs = [c._mpf_ for c in hi]
-    else:
-        mul, add = mpc_mul, mpc_add
-        xv = _mpc_tuple(x)
-        cs = [_mpc_tuple(c) for c in hi]
+    xv = _mpc_tuple(x)
+    cs = [_mpc_tuple(c) for c in hi]
     p = cs[0]
     for c in cs[1:]:
-        p = add(c, mul(xv, p, prec, rnd), prec, rnd)
-    return mp.make_mpf(p) if mul is mpf_mul else mp.make_mpc(p)
+        p = mpc_add(c, mpc_mul(xv, p, prec, rnd), prec, rnd)
+    return mp.make_mpc(p)
 
 
 def _mpc_tuple(x) -> tuple:
@@ -438,18 +421,15 @@ def fraction_from_mpf(x: mp.mpf) -> Fraction:
 
 
 def decimal_str(x, digits: int) -> str:
-    """Deterministic decimal rendering with ``digits`` significant digits."""
+    """Deterministic decimal rendering of a Fraction, QComplex, mpf or mpc
+    with ``digits`` significant digits (the package prints no other type)."""
     if isinstance(x, Fraction):
         with mp.workprec(int(digits * 3.4) + 32):
             return mp.nstr(mpf_from(x), digits)
     if isinstance(x, QComplex):
         with mp.workprec(int(digits * 3.4) + 32):
             return mp.nstr(mpc_from(x), digits)
-    if isinstance(x, (mp.mpf, mp.mpc)):
-        return mp.nstr(x, digits)
-    if isinstance(x, int):
-        return str(x)
-    return mp.nstr(mp.mpf(x), digits)
+    return mp.nstr(x, digits)
 
 
 def scalar_str(x, digits: int, exact: bool = False) -> str:

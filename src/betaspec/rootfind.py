@@ -58,7 +58,7 @@ from .errors import (
     InvalidParameterError,
     RefinementFailureError,
 )
-from .charpoly import PrecPoly, SparseForm, charpoly_closed_form, eval_sparse
+from .charpoly import PrecPoly, SparseForm, charpoly_closed_form, eval_dense, eval_sparse
 from .matrices import BetaParam
 from .numerics import (
     ball_from,
@@ -309,19 +309,14 @@ def _within(zeros, rho, target_digits: int) -> bool:
 
 def _dense_disks(poly: PrecPoly, roots: list) -> list:
     """The d inclusion disks at the Aberth iterates, from one Horner pass for
-    p and p' on the exact coefficients in the balls of :func:`_inclusion_disks`:
+    p and p' (:func:`~betaspec.charpoly.eval_dense`) on the exact coefficients
+    in the balls of :func:`_inclusion_disks`:
     each radius d sup|p| / inf|p'|, rounded up, inf where p' may vanish.
     """
     p = mp.mp.prec + DISK_GUARD_BITS
     cs = [ball_from(c, p) for c in poly.coeffs]
-    rho = []
-    for z in roots:
-        z = ball_from(z, p)
-        f, df = cs[-1], ball_from(0, p)
-        for c in reversed(cs[:-1]):
-            f, df = f * z + c, df * z + f
-        rho.append(_quotient_up(poly.degree * f.sup_abs(), df.inf_abs()))
-    return rho
+    return [_quotient_up(poly.degree * f.sup_abs(), df.inf_abs())
+            for f, df in (eval_dense(cs, ball_from(z, p)) for z in roots)]
 
 
 def _real_centres(poly: PrecPoly, z: list, rho: list, target_digits: int):
@@ -608,7 +603,7 @@ def solve_all(poly: PrecPoly | SparseForm, target_digits: int) -> RootSet:
     for prec in ladder:
         started = time.perf_counter()
         with with_precision(prec + 32):
-            cs = poly.coeffs_mp(real=False)
+            cs = poly.coeffs_mp()
             hi = cs[::-1]
             dhi = [cs[k] * k for k in range(d, 0, -1)]
             z, sweeps, ok = _aberth_level(hi, dhi, z, prec)

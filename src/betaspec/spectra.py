@@ -36,7 +36,7 @@ from .errors import (
     UnknownTestFunctionError,
 )
 # charpoly_closed_form is not called here; bench/spans.py wraps it by this name
-from .charpoly import charpoly_closed_form, sparse_form
+from .charpoly import charpoly_closed_form, geometric, sparse_form
 from .matrices import REAL_GT1, BetaParam
 from .numerics import (
     QComplex,
@@ -94,8 +94,8 @@ class ClusterReport:
 
 def cluster_count(roots: RootSet, epsilon: float) -> ClusterReport:
     """Exact partition of the roots by the annulus test | |z| - 1 | <= eps."""
-    if epsilon <= 0:
-        raise InvalidParameterError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise InvalidParameterError("epsilon must be finite and positive")
     with with_precision(roots.precision_used):
         eps = mpf_from(epsilon)
         outside = tuple(z for z in roots.roots if abs(abs(z) - 1) > eps)
@@ -157,8 +157,8 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
             f"outlier tracking requires beta in (1, 2), got {b}")
     if n < 2:
         raise InvalidOrderError("outlier tracking requires n >= 2")
-    if annulus_eps <= 0:
-        raise InvalidParameterError("epsilon must be positive")
+    if not 0 < annulus_eps < math.inf:
+        raise InvalidParameterError("epsilon must be finite and positive")
 
     form = sparse_form(beta, n)
     small_limit = b - 1
@@ -213,12 +213,6 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
 # Singular values
 # ---------------------------------------------------------------------------
 
-def _geometric(z, m: int):
-    """Exact z + z**2 + ... + z**m from one power of z."""
-    d = 1 - z
-    return z * (1 - z ** m) / d if d else m
-
-
 def _singvals_bits(target_digits: int) -> int:
     """The working precision of :func:`singular_values` at ``target_digits``."""
     level = ladder_level((target_digits + 2) * math.log2(10))
@@ -249,8 +243,8 @@ def singular_values(beta: BetaParam, n: int, target_digits: int = DEFAULT_EIG_DI
     started = time.perf_counter()
     x = QComplex(Fraction(1)) / beta.value
     r2 = x.abs2()
-    sw = x * _geometric(x, n - 1)
-    ww = r2 * _geometric(r2, n - 1)
+    sw = x * geometric(x, n - 1)
+    ww = r2 * geometric(r2, n - 1)
     c = (x - 1).abs2() + ww
     alpha = sw / (n - 1) if n > 1 else sw  # w's coefficient on f; sw = 0 at n = 1
     rho2 = ww - (n - 1) * alpha.abs2()
@@ -288,11 +282,11 @@ class TestFunction:
 
     fid: str
     fn: Callable[[complex], float]
-    description: str
     mean: float
 
 
 def _radial_bump(z: complex) -> float:
+    # C^1 in |z|, centred on the unit circle, width 1/2
     r = abs(z)
     x = (r - 1.0) / 0.5
     if abs(x) >= 1.0:
@@ -333,19 +327,11 @@ def _im_moment(z: complex) -> float:
 # Means: the bump is 1 on the circle, the arc weight integrates to
 # pi + 2 * (0.2 / 2), and the moments of cos and sin vanish.
 BUILTIN_TEST_FUNCTIONS = {
-    "radial_bump": TestFunction(
-        "radial_bump", _radial_bump,
-        "C^1 bump in |z| centered on the unit circle, width 1/2", 1.0),
-    "arc_indicator": TestFunction(
-        "arc_indicator", _arc_indicator,
-        "smoothed indicator of the arc |arg z| <= pi/2 with radial plateau",
-        (math.pi + 0.2) / (2 * math.pi)),
-    "re_moment": TestFunction(
-        "re_moment", _re_moment,
-        "Re(z) truncated by a radial plateau (1 up to |z|=4, 0 beyond 5)", 0.0),
-    "im_moment": TestFunction(
-        "im_moment", _im_moment,
-        "Im(z) truncated by a radial plateau (1 up to |z|=4, 0 beyond 5)", 0.0),
+    "radial_bump": TestFunction("radial_bump", _radial_bump, 1.0),
+    "arc_indicator": TestFunction("arc_indicator", _arc_indicator,
+                                  (math.pi + 0.2) / (2 * math.pi)),
+    "re_moment": TestFunction("re_moment", _re_moment, 0.0),
+    "im_moment": TestFunction("im_moment", _im_moment, 0.0),
 }
 
 

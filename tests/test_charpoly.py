@@ -31,7 +31,7 @@ from betaspec import (
     symbolic_t,
 )
 from betaspec.charpoly import eval_sparse
-from betaspec.numerics import QComplex, decimal_str, fixed_from, mpc_from, mpf_from, polyval
+from betaspec.numerics import QComplex, fixed_from, mpc_from, mpf_from, polyval
 
 BETAS = [BetaParam.parse(s) for s in ("4/3", "3/2", "2", "3", "5")]
 
@@ -47,8 +47,8 @@ def test_degree_one_closed_form():
 def test_constant_term_rule(n):
     for beta in BETAS:
         p = charpoly_closed_form(beta, n)
-        assert p.constant_term == 1 - Fraction(1) / beta.value
-        assert p.leading_coeff == 1
+        assert p.coeffs[0] == 1 - Fraction(1) / beta.value
+        assert p.coeffs[-1] == 1
 
 
 def test_closed_form_matches_direct_2x2_expansion():
@@ -102,11 +102,22 @@ def test_oracle_rejects_complex_beta():
 
 def test_singular_constant_matrix_gives_zero_polynomial():
     zero = PrecPoly((Fraction(0),))
-    assert zero.degree == 0 and zero.constant_term == 0
+    assert zero.degree == 0 and zero.coeffs[0] == 0
     assert det_oracle([[1, 2], [2, 4]]) == zero      # zero after elimination
     assert det_oracle([[0, 1], [0, 2]]) == zero      # no pivot in column 0
     with pytest.raises(InvalidParameterError):
         PrecPoly((Fraction(0), Fraction(0)))
+
+
+def test_eval_exact_takes_the_type_of_t():
+    # a QComplex t gives a QComplex value also at degree 0, where no
+    # product with t is formed
+    t = QComplex(Fraction(1, 2), Fraction(3))
+    const = PrecPoly((Fraction(5),)).eval_exact(t)
+    assert isinstance(const, QComplex) and const == QComplex(Fraction(5))
+    line = PrecPoly((Fraction(1), Fraction(2)))
+    assert line.eval_exact(t) == QComplex(Fraction(2), Fraction(6))
+    assert line.eval_exact(Fraction(1, 2)) == 2 and line.eval_exact(3) == 7
 
 
 def test_split_qr():
@@ -157,7 +168,7 @@ def test_complex_beta_coefficients():
     assert not p.is_real
     # constant term still 1 - 1/beta
     inv = beta.inverse_powers(1)[0]
-    assert p.constant_term == 1 - inv
+    assert p.coeffs[0] == 1 - inv
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +279,6 @@ def test_poly_json_schema():
     assert doc["exact"] is True
     assert doc["coeffs"][0] == "1/4"
     assert len(doc["coeffs"]) == 4
-
-
-def test_exactness_follows_coefficients():
-    exact = charpoly_closed_form(BetaParam.parse("1+2i"), 3)
-    assert exact.exact
-    with mp.workprec(128):
-        inexact = PrecPoly(coeffs=(mp.mpf(1) / 3, mp.mpc(0, 1), mp.mpf(1)))
-    assert not inexact.exact
-    doc = json.loads(poly_to_json([decimal_str(c, 5) for c in inexact.coeffs],
-                                  exact=inexact.exact))
-    assert doc["exact"] is False
-    assert doc["coeffs"] == ["0.33333", "(0.0 + 1.0j)", "1.0"]
-    with pytest.raises(InvalidParameterError):
-        inexact.eval_exact(Fraction(1))
 
 
 def test_precpoly_validation():

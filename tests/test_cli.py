@@ -59,6 +59,13 @@ REFERENCE_OUTPUTS = (
      "cp.json", "eada52b1d49fdb8270e037b1d9987377c0c5e3d62d4f7056be27b3a1e0709d6d"),
     (("charpoly", "--beta=3/2+1i", "--n", "50", "--exact", "--out", "{out}/cp.csv"),
      "cp.csv", "3db492ab6c2e25511977f655072742cb22c98692f05fc7a13880c701a8c8512b"),
+    # a complex spectrum; the QComplex and Fraction branches of decimal_str
+    (("eigs", "--beta=3/2+1i", "--n", "30", "--format", "json", "--out", "{out}/eigs.json"),
+     "eigs.json", "0c146ef25309adc524133d2f60bf56ecb1e61f79112c1dc26ba1fba221def552"),
+    (("matrix", "--beta=3/2+1i", "--n", "5", "--format", "json", "--out", "{out}/m.json"),
+     "m.json", "c08e11fb9f6749f80bd4f5c05b0da213dd086818dd49751133ef92528211023e"),
+    (("charpoly", "--beta=4/3", "--n", "40", "--out", "{out}/cp.csv"),
+     "cp.csv", "c8ef382bea9b23dc690e1b609502ad076ef35040990684a1efc9df42386685ab"),
 )
 
 # Commands run in a fresh process, and whether they load numpy.  Only the
@@ -323,11 +330,20 @@ def test_flags_the_output_ignores_are_refused(tmp_path, argv):
 
 
 @pytest.mark.parametrize("command", ["cluster", "outliers"])
-@pytest.mark.parametrize("eps", ["0", "-1"])
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
 def test_eps_must_be_positive(capsys, command, eps):
     code, out, err = _run(capsys, command, "--beta=4/3", "--n", "60", "--eps", eps)
     assert code == 2 and out == ""
     assert err == "usage error: --eps must be positive\n"
+
+
+@pytest.mark.parametrize("command", ["cluster", "outliers"])
+@pytest.mark.parametrize("eps", ["inf", "1e999"])
+def test_eps_must_be_finite(capsys, tmp_path, command, eps):
+    code, out, err = _run(capsys, command, "--beta=4/3", "--n", "10", "--eps", eps,
+                          "--out", str(tmp_path / "out.csv"))
+    assert code == 2 and out == "" and not (tmp_path / "out.csv").exists()
+    assert err == "usage error: --eps must be finite\n"
 
 
 def test_charpoly_exact_csv(capsys):
@@ -546,7 +562,8 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
                          ids=["reproduce", "singvals", "outliers", "outliers-4096bit",
                               "beta1", "singvals-n1600", "weyl", "table1",
                               "eigs-sparse", "eigs-aberth", "cluster", "charpoly-exact",
-                              "charpoly-json", "charpoly-complex"])
+                              "charpoly-json", "charpoly-complex", "eigs-complex-json",
+                              "matrix-complex-json", "charpoly-decimal"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from mpmath.libmp import mpf_neg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betaspec import (
@@ -27,7 +27,7 @@ from betaspec import (
 )
 from betaspec import rootfind
 from betaspec.cli import run
-from betaspec.charpoly import eval_sparse
+from betaspec.charpoly import eval_dense, eval_sparse
 from betaspec.numerics import (
     Ball,
     QComplex,
@@ -329,7 +329,7 @@ def _aberth_level_reference(hi, dhi, z, prec, conv_shift=32, max_sweeps=500):
 def test_aberth_level_matches_mpmath_objects(beta_text, n, monkeypatch):
     poly = charpoly_closed_form(BetaParam.parse(beta_text), n)
     with mp.workprec(288):
-        cs = poly.coeffs_mp(real=False)
+        cs = poly.coeffs_mp()
         hi = cs[::-1]
         dhi = [cs[k] * k for k in range(n, 0, -1)]
         # two identical iterates exercise the dz == 0 nudge
@@ -582,6 +582,43 @@ def test_ball_evaluation_encloses_the_exact_values(beta, n, t, p):
     f = a0 + a1 * t + tn1 * t * (b0 + b1 * t + b2 * t * t)
     df = a1 + tn1 * (n * b0 + (n + 1) * b1 * t + (n + 2) * b2 * t * t)
     fb, dfb = eval_sparse([ball_from(c, p) for c in form.coeffs], n, ball_from(t, p))
+    assert _inside(fb, f) and _inside(dfb, df)
+    assert max(fb.inf_abs(), 0) ** 2 <= f.abs2() * 4 ** p <= fb.sup_abs() ** 2
+
+
+# 1/beta dyadic: the coefficient balls are exact, and every unit of radius
+# comes from t's and the products' rounding
+_DYADIC_X = st.builds(lambda m, k: Fraction(m, 2 ** k),
+                      st.integers(min_value=-300, max_value=300).filter(bool),
+                      st.integers(min_value=0, max_value=8))
+DENSE_BETAS = st.one_of(
+    SPARSE_BETAS,
+    _DYADIC_X.map(lambda x: BetaParam(1 / x)),
+    st.builds(QComplex, _DYADIC_X, _DYADIC_X).map(lambda x: BetaParam(x.inverse())),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=DENSE_BETAS, n=st.integers(min_value=1, max_value=40), reverse=st.booleans(),
+       t=_dyadic_points(), p=st.sampled_from([296, 552]))
+# each example fails if a product's radius drops one first-order term: the
+# first the carried radius times |t|, the second |p| times t's radius
+@example(beta=BetaParam.parse("3/2+1i"), n=40, reverse=False,
+         t=QComplex(Fraction(-5, 2), Fraction(3, 2)), p=296)
+@example(beta=BetaParam.parse("2"), n=40, reverse=False,
+         t=QComplex(Fraction(1 - 5 * 2 ** 399, 2 ** 400), Fraction(1 + 3 * 2 ** 399, 2 ** 400)),
+         p=296)
+def test_dense_ball_evaluation_encloses_the_exact_values(beta, n, reverse, t, p):
+    # p and p' on balls, as the Aberth ladder's disks take them, hold the
+    # exact values of the closed-form vector (or its reversal) at the exact
+    # point t, summed here power by power
+    poly = charpoly_closed_form(beta, n)
+    assume(poly.coeffs[0] or not reverse)  # beta = 1 has a zero root
+    cs = (reverse_poly(poly) if reverse else poly).coeffs
+    zero = QComplex(Fraction(0))
+    f = sum((c * t ** k for k, c in enumerate(cs)), zero)
+    df = sum((k * c * t ** (k - 1) for k, c in enumerate(cs) if k), zero)
+    fb, dfb = eval_dense([ball_from(c, p) for c in cs], ball_from(t, p))
     assert _inside(fb, f) and _inside(dfb, df)
     assert max(fb.inf_abs(), 0) ** 2 <= f.abs2() * 4 ** p <= fb.sup_abs() ** 2
 

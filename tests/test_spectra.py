@@ -1,5 +1,6 @@
 """Spectral analytics: clustering, outliers, singular values, averaged sums."""
 import logging
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -84,10 +85,17 @@ def test_find_outliers_rejects_wrong_class():
 
 
 @pytest.mark.parametrize("n", [100, 200])
-@pytest.mark.parametrize("eps", [0, -1])
+@pytest.mark.parametrize("eps", [0, -1, math.nan, math.inf])
 def test_find_outliers_rejects_nonpositive_eps(n, eps):
     with pytest.raises(InvalidParameterError):
         find_outliers(BetaParam.parse("4/3"), n, 30, annulus_eps=eps)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_cluster_count_rejects_nonfinite_eps(eps):
+    # a nan epsilon would count every root inside the annulus
+    with pytest.raises(InvalidParameterError):
+        cluster_count(eigenvalues(BetaParam.parse("4/3"), 10, 20), eps)
 
 
 def test_find_outliers_below_clustering_onset():
@@ -313,8 +321,8 @@ def test_singular_values_debug_record(caplog):
 
 
 def test_weyl_constant_window_gap_zero():
-    const = TestFunction("const_window", lambda z: 1.0 if abs(z) <= 50 else 0.0,
-                         "constant on a ball that contains every tested spectrum", 1.0)
+    # constant on a ball that contains every tested spectrum
+    const = TestFunction("const_window", lambda z: 1.0 if abs(z) <= 50 else 0.0, 1.0)
     rs = eigenvalues(BetaParam.parse("3"), 30, 30)
     rep = weyl_sum(rs.roots, const, "eigen")
     assert rep.gap == 0.0
