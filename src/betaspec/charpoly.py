@@ -52,7 +52,7 @@ from .errors import (
     SizeLimitError,
     ZeroRootError,
 )
-from .matrices import REAL_GT1, BetaParam
+from .matrices import BetaParam
 # decimal_str is not called here; bench/spans.py wraps it by this name
 from .numerics import (
     DEFAULT_PRECISION_BITS,
@@ -146,9 +146,9 @@ def charpoly_strings(beta: BetaParam, n: int) -> list[str]:
     the module docstring, for complex beta from the Fractions."""
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
-    x = beta.inverse
-    if isinstance(x, QComplex):
+    if not beta.is_real:
         return [exact_str(c) for c in charpoly_closed_form(beta, n).coeffs]
+    x = beta.inverse
     L, out = x.denominator, []
     with decimal.localcontext(_EXACT):
         u = Decimal(x.numerator)
@@ -231,7 +231,7 @@ class SparseForm:
         :class:`~betaspec.numerics.Ball` values at the absolute scale 2**-128,
         so a zero of f on the circle gives None.
         """
-        self.beta.require_class([REAL_GT1], "the Rouché count")
+        self.beta.require_real_gt1("the Rouché count")
         beta, n = self.beta.real_value, self.n
         s = -(1 + self.b[1]) / self.x  # S_n
         # the scale 2**-128: at beta = 9/5, n = 200, rho = 1 - Fraction(0.2), a's
@@ -264,7 +264,7 @@ def sparse_form(beta: BetaParam, n: int) -> SparseForm:
     of x): with S_{n+1} = S_n + x**(n+1), b = (S_{n+1}, x - 1 - S_{n+1}, x)."""
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
-    x = Fraction(1) / beta.real_value if beta.is_real else beta.value.inverse()
+    x = beta.inverse
     s1 = geometric(x, n + 1)
     return SparseForm(beta=beta, n=n, x=x, a=(1 - x, -x), b=(s1, x - 1 - s1, x))
 
@@ -494,7 +494,7 @@ class LimitFunction:
     def __post_init__(self):
         if self.tag not in (LIMIT_INTERIOR, LIMIT_RECIPROCAL):
             raise InvalidParameterError(f"unknown limit function tag {self.tag!r}")
-        self.beta.require_class([REAL_GT1], "limit function")
+        self.beta.require_real_gt1("limit function")
 
 
 def _limit_point(fn: LimitFunction, t, bits: int):

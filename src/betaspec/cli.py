@@ -3,7 +3,8 @@
 Every analysis is exposed as a subcommand writing CSV or JSON to --out (or
 stdout), plus a ``reproduce`` runner that regenerates the reference figure
 data files and tables.  Exit codes: 0 success, 1 computational failure,
-2 usage error.  Identical flags produce byte-identical output files.
+2 usage error, an --n below the command's least order included.  Identical
+flags produce byte-identical output files.
 
 Each flag's argparse spec is in ``FLAGS`` once; ``COMMANDS`` gives each
 subcommand its handler, the flags it reads (the only ones it accepts), its
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import BetaSpecError
+from .errors import BetaSpecError, InvalidOrderError
 from .charpoly import charpoly_closed_form, charpoly_strings, poly_to_json
 from .limitcase import (
     beta1_table_csv,
@@ -27,7 +28,7 @@ from .limitcase import (
     lambda_max_beta1,
     power_method_trace,
 )
-from .matrices import REAL_GT1, BetaParam, build_beta_matrix, matrix_to_csv
+from .matrices import BetaParam, build_beta_matrix, matrix_to_csv
 from .numerics import decimal_str, scalar_str
 from .spectra import (
     BUILTIN_TEST_FUNCTIONS,
@@ -185,8 +186,6 @@ def _weyl(args) -> str:
 
 
 def _beta1(args) -> str:
-    if any(n < 2 for n in args.n):
-        raise UsageError("beta1 analysis requires n >= 2")
     if args.fmt == "csv":
         return beta1_table_csv(args.n, target_digits=args.digits)
     payload = []
@@ -214,7 +213,8 @@ def _reproduce(args) -> str:
         digits = args.digits or 50
         records = [find_outliers(BetaParam.parse("4/3"), n, digits) for n in ns]
         files["outlier_digits.csv"] = _lines("n,lambda_max", (
-            f"{r.n},{decimal_str(r.large, digits + 1)}" for r in records))
+            f"{r.n},{'' if r.large is None else decimal_str(r.large, digits + 1)}"
+            for r in records))
     elif args.target == "table1":
         rows = []
         for n in ns:
@@ -237,7 +237,7 @@ class Command(NamedTuple):
     flags: tuple
     help: str
     epilog: str
-    beta_class: str | None = None   # the class --beta must have, if any
+    real_gt1: bool = False   # --beta must be real and > 1
 
 
 _OUTPUT = ("digits", "format", "out")
@@ -255,12 +255,12 @@ COMMANDS = {
                     "disk's radius over (1 + |root|), at most 10^-digits. JSON: root report."),
     "cluster": Command(_cluster, ("beta", "orders", *_OUTPUT, "eps"),
                        "unit-circle annulus partition counts",
-                       "CSV columns: n,beta,epsilon,inside_count,outside_count.", REAL_GT1),
+                       "CSV columns: n,beta,epsilon,inside_count,outside_count.", True),
     "outliers": Command(_outliers, ("beta", "orders", *_OUTPUT, "eps"),
                         "outlier tracking for beta in (1,2)",
                         "CSV columns: n,large,small,err_large,err_small. JSON adds "
                         "count_verified (one eigenvalue inside and one beyond the annulus, "
-                        "proved by Rouché's theorem) and diagnostic.", REAL_GT1),
+                        "proved by Rouché's theorem) and diagnostic.", True),
     "singvals": Command(_singvals, ("beta", "order", *_OUTPUT),
                         "singular values, sorted nonincreasing",
                         "CSV: one singular value per line."),
@@ -315,10 +315,8 @@ def _validate(args) -> None:
             args.beta = BetaParam.parse(args.beta)
         except BetaSpecError as exc:
             raise UsageError(str(exc))
-        if cmd.beta_class not in (None, args.beta.beta_class):
-            raise UsageError(
-                f"command {args.command!r} requires beta of class {cmd.beta_class!r}, "
-                f"got {args.beta} (class {args.beta.beta_class})")
+        if cmd.real_gt1 and not args.beta.real_gt1:
+            raise UsageError(f"command {args.command!r} requires real beta > 1, got {args.beta}")
 
 
 def run(argv=None) -> int:
@@ -326,7 +324,7 @@ def run(argv=None) -> int:
     try:
         _validate(args)
         text = COMMANDS[args.command].handler(args)
-    except UsageError as exc:
+    except (UsageError, InvalidOrderError) as exc:  # only --n gives an order error
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except BetaSpecError as exc:

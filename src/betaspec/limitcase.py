@@ -22,8 +22,8 @@ T_n = (n + 1) - sum_k C_k (n + 1)**-k with C_k the Catalan numbers, so
     lambda = n - 1/n - 1/n**2 - 2/n**3 - 4/n**4 - ...
 
 up to a term of order n**(1-n): c1 = -1 and c2 = -1 exactly.
-:func:`lambda_max_beta1` refines lambda from T_n and certifies it by an
-interval sign-change bracket; the table reports the expansion checks
+:func:`lambda_max_beta1` refines lambda from T_n and certifies it by a
+ball sign-change bracket; the table reports the expansion checks
 ``c0_est = lam - n`` and ``c1_est = n*(lam - n)``.
 
 The exact integer power method (:func:`power_method_trace`) only serves
@@ -143,7 +143,7 @@ def lambda_max_beta1(n: int, target_digits: int) -> AsymptoticFit:
     Newton on the five-term form
     (:func:`~betaspec.rootfind.refine_real_root_reported`) from the larger
     zero T_n of b, about n**(1-n) / (n - 1) below lambda, to
-    ``target_digits + 2 ceil(log10 n) + 4`` digits, so that the interval
+    ``target_digits + 2 ceil(log10 n) + 4`` digits, so that the ball
     sign-change bracket fixes the printed c0 = lam - n and c1 = n (lam - n)
     as well.  ``iterations`` counts the precision-ladder levels climbed.
     """

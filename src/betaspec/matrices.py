@@ -31,35 +31,30 @@ from .numerics import (
     with_precision,
 )
 
-REAL_GT1 = "real_gt1"
-REAL_EQ1 = "real_eq1"
-COMPLEX_NONZERO = "complex_nonzero"
-
 
 @dataclass(frozen=True)
 class BetaParam:
-    """Validated beta parameter with exact rational (or complex-rational) value.
-
-    The class tag records which analyses accept the parameter:
-
-    * ``real_gt1`` -- real beta > 1: full eigenvalue analysis applies;
-    * ``real_eq1`` -- beta = 1: the degenerate block analysis applies;
-    * ``complex_nonzero`` -- anything else nonzero: matrix construction,
-      characteristic polynomial and singular-value analysis still apply.
+    """Validated nonzero beta with an exact value: a Fraction exactly when
+    beta is real (an int, or a QComplex with imaginary part 0, is stored as
+    one), else a QComplex.  So two spellings of one beta are equal, hash
+    alike and print alike.  Clusters, outliers and limits need :attr:`real_gt1`.
     """
 
     value: Fraction | QComplex
 
     def __post_init__(self):
         v = self.value
+        if isinstance(v, QComplex) and v.is_real:
+            v = v.re
         if isinstance(v, int):
-            object.__setattr__(self, "value", Fraction(v))
-        elif not isinstance(v, (Fraction, QComplex)):
+            v = Fraction(v)
+        if not isinstance(v, (Fraction, QComplex)):
             raise InvalidParameterError(
                 f"beta must be exact rational or complex-rational, got {type(v).__name__}"
             )
-        if not self.value:
+        if not v:
             raise InvalidParameterError("beta must be nonzero")
+        object.__setattr__(self, "value", v)
 
     @classmethod
     def parse(cls, text: str) -> "BetaParam":
@@ -67,44 +62,29 @@ class BetaParam:
 
     @property
     def is_real(self) -> bool:
-        return isinstance(self.value, Fraction) or self.value.is_real
+        return isinstance(self.value, Fraction)
 
     @property
     def real_value(self) -> Fraction:
-        if isinstance(self.value, Fraction):
+        if self.is_real:
             return self.value
-        if self.value.is_real:
-            return self.value.re
         raise InvalidParameterError(f"beta {self} is not real")
 
     @property
-    def beta_class(self) -> str:
-        if self.is_real:
-            r = self.real_value
-            if r == 1:
-                return REAL_EQ1
-            if r > 1:
-                return REAL_GT1
-        return COMPLEX_NONZERO
+    def real_gt1(self) -> bool:
+        return self.is_real and self.value > 1
 
-    def require_class(self, allowed: Sequence[str], feature: str) -> None:
-        if self.beta_class not in allowed:
-            raise InvalidParameterError(
-                f"{feature} requires beta in class {{{', '.join(allowed)}}}, "
-                f"got beta={self} (class {self.beta_class})"
-            )
+    def require_real_gt1(self, feature: str) -> None:
+        if not self.real_gt1:
+            raise InvalidParameterError(f"{feature} requires real beta > 1, got beta={self}")
 
     def abs2(self) -> Fraction:
-        if isinstance(self.value, Fraction):
-            return self.value * self.value
-        return self.value.abs2()
+        return self.value * self.value if self.is_real else self.value.abs2()
 
     @property
     def inverse(self) -> Fraction | QComplex:
         """Exact 1/beta, of the type of ``value``."""
-        if isinstance(self.value, Fraction):
-            return 1 / self.value
-        return self.value.inverse()
+        return 1 / self.value
 
     def inverse_powers(self, count: int) -> list:
         """Exact [beta**-1, ..., beta**-count]."""

@@ -155,9 +155,10 @@ def parse_rational(text: str) -> Fraction:
 def parse_scalar(text: str) -> Fraction | QComplex:
     """Parse a real or complex scalar with exact rational components.
 
-    Accepts "p/q", "3", "1.25" for reals and "a+bi" / "a-bj" / "2i" / "-i"
-    for complex values whose components are themselves rational or decimal.
-    Decimals are converted to the exact rational they denote.
+    Accepts "p/q", "3", "1.25", "1e-3" for reals and "a+bi" / "a-bj" / "2i" /
+    "-i" for complex values whose components are themselves rational or
+    decimal, an exponent's sign included.  Decimals are converted to the exact
+    rational they denote.
     """
     t = text.strip().replace(" ", "")
     if not t:
@@ -167,7 +168,7 @@ def parse_scalar(text: str) -> Fraction | QComplex:
     body = t[:-1]
     re_part, im_part = "0", body
     for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/.":
+        if body[k] in "+-" and body[k - 1] not in "+-/.eE":
             re_part, im_part = body[:k], body[k:]
             break
     if im_part in ("", "+"):
@@ -178,8 +179,7 @@ def parse_scalar(text: str) -> Fraction | QComplex:
 
 
 def mpf_from(x) -> mp.mpf:
-    """Convert a real scalar, or a complex one with imaginary part 0, to mpf
-    at the ambient precision."""
+    """Convert an mpf, Fraction, int or float to mpf at the ambient precision."""
     if isinstance(x, mp.mpf):
         return +x
     if isinstance(x, Fraction):
@@ -192,10 +192,6 @@ def mpf_from(x) -> mp.mpf:
         return mp.ldexp(mp.mpf(x.numerator) / (den >> s), -s)
     if isinstance(x, (int, float)):
         return mp.mpf(x)
-    if isinstance(x, QComplex) and x.is_real:
-        return mpf_from(x.re)
-    if isinstance(x, mp.mpc) and x.imag == 0:
-        return +x.real
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 

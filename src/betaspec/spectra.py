@@ -37,7 +37,7 @@ from .errors import (
 )
 # charpoly_closed_form is not called here; bench/spans.py wraps it by this name
 from .charpoly import charpoly_closed_form, geometric, sparse_form
-from .matrices import REAL_GT1, BetaParam
+from .matrices import BetaParam
 from .numerics import (
     QComplex,
     decimal_str,
@@ -150,7 +150,6 @@ def find_outliers(beta: BetaParam, n: int, target_digits: int,
     the circle on which neither term of the form dominates, as happens
     below the clustering onset.
     """
-    beta.require_class([REAL_GT1], "outlier tracking")
     b = beta.real_value
     if not (1 < b < 2):
         raise InvalidParameterError(
@@ -421,7 +420,7 @@ def condition_bound_check(beta: BetaParam, n: int) -> ConditionReport:
     digits, divided at their working precision; satisfied when
     kappa >= (1 - ``CONDITION_BOUND_TOL``) * bound.
     """
-    beta.require_class([REAL_GT1], "conditioning bound")
+    beta.require_real_gt1("conditioning bound")
     sv = singular_values(beta, n)
     with with_precision(_singvals_bits(DEFAULT_EIG_DIGITS)):
         smin = sv[-1]

@@ -1,5 +1,7 @@
 """Command-line contract: schemas, exit codes, determinism."""
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betaspec
 from betaspec import BetaParam, build_beta_matrix, charpoly_closed_form
@@ -66,6 +70,9 @@ REFERENCE_OUTPUTS = (
      "m.json", "c08e11fb9f6749f80bd4f5c05b0da213dd086818dd49751133ef92528211023e"),
     (("charpoly", "--beta=4/3", "--n", "40", "--out", "{out}/cp.csv"),
      "cp.csv", "c8ef382bea9b23dc690e1b609502ad076ef35040990684a1efc9df42386685ab"),
+    # a real beta spelled complex is real: the bytes of --beta=3
+    (("matrix", "--beta=3+0i", "--n", "5", "--digits", "12", "--out", "{out}/m.csv"),
+     "m.csv", "76f6fb0716d53a781d481c162d7e85cfea8c55e26567295c41698dee77d56922"),
 )
 
 # Commands run in a fresh process, and whether they load numpy.  Only the
@@ -346,6 +353,23 @@ def test_eps_must_be_finite(capsys, tmp_path, command, eps):
     assert err == "usage error: --eps must be finite\n"
 
 
+def _stdout(argv) -> str:
+    eigenvalues.cache_clear()  # each spelling solves afresh
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(r=st.fractions(min_value=1, max_value=10, max_denominator=12).filter(lambda r: r > 1),
+       n=st.integers(1, 12))
+def test_real_beta_spelled_complex_prints_the_same_bytes(r, n):
+    for argv in (("matrix",), ("matrix", "--exact"), ("charpoly",), ("charpoly", "--exact"),
+                 ("charpoly", "--format", "json"), ("eigs",), ("singvals",), ("cluster",)):
+        argv = (*argv, "--n", str(n), "--digits", "12")
+        assert _stdout([*argv, f"--beta={r}+0i"]) == _stdout([*argv, f"--beta={r}"])
+
+
 def test_charpoly_exact_csv(capsys):
     code, out, _ = _run(capsys, "charpoly", "--beta", "4/3", "--n", "3", "--exact")
     assert code == 0
@@ -558,12 +582,35 @@ def test_reproduce_outlier_digits(tmp_path, capsys):
     assert REFERENCE_N50 in text
 
 
+def test_reproduce_outlier_digits_leaves_a_missing_outlier_empty(tmp_path, capsys):
+    # at n = 2, 3 the large outlier of beta = 4/3 is not separated from the
+    # annulus; the field is empty, as in the outliers CSV
+    assert run(["reproduce", "outlier-digits", "--out", str(tmp_path), "--n", "2,3"]) == 0
+    text = (tmp_path / "outlier_digits.csv").read_text()
+    assert text == "n,lambda_max\n2,\n3,\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("outliers", "--beta=4/3", "--n", "1", "--out", "{out}/o.csv"),
+    ("beta1", "--n", "1", "--out", "{out}/o.csv"),
+    ("reproduce", "outlier-digits", "--n", "1", "--out", "{out}"),
+    ("reproduce", "table1", "--n", "2", "--out", "{out}"),
+    ("reproduce", "table2", "--n", "1", "--out", "{out}"),
+], ids=["outliers", "beta1", "outlier-digits", "table1", "table2"])
+def test_order_below_the_least_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, *(a.replace("{out}", str(out)) for a in argv))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("usage error: ") and "requires n >= " in err
+
+
 @pytest.mark.parametrize("argv,name,digest", REFERENCE_OUTPUTS,
                          ids=["reproduce", "singvals", "outliers", "outliers-4096bit",
                               "beta1", "singvals-n1600", "weyl", "table1",
                               "eigs-sparse", "eigs-aberth", "cluster", "charpoly-exact",
                               "charpoly-json", "charpoly-complex", "eigs-complex-json",
-                              "matrix-complex-json", "charpoly-decimal"])
+                              "matrix-complex-json", "charpoly-decimal",
+                              "matrix-real-spelled-complex"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

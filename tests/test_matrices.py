@@ -8,6 +8,7 @@ from betaspec import (
     BetaParam,
     InvalidOrderError,
     InvalidParameterError,
+    QComplex,
     build_aux_matrix,
     build_beta_matrix,
     build_shifted,
@@ -126,6 +127,17 @@ def test_complex_beta_matrix():
     v1 = 1 / (1 + 1j)
     assert abs(dense[0, 0] - (v1 - 1)) < 1e-15
     assert abs(dense[1, 0] - (v1 ** 2 + 1)) < 1e-15
+
+
+def test_real_beta_is_always_a_fraction():
+    # a QComplex with imaginary part 0 is the same beta as the int: equal, and
+    # hashed alike, so the two spellings share the eigenvalue cache
+    spelled = BetaParam(QComplex(Fraction(3)))
+    assert spelled == BetaParam(3) == BetaParam.parse("3+0i")
+    assert hash(spelled) == hash(BetaParam(3))
+    assert type(spelled.value) is Fraction and spelled.is_real
+    assert type(spelled.inverse) is Fraction
+    assert type(BetaParam.parse("3/2+1i").inverse) is QComplex
 
 
 def test_csv_export_exact_and_decimal():

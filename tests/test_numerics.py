@@ -118,6 +118,19 @@ def test_parse_scalar_complex_forms():
     assert parse_scalar("7/5") == Fraction(7, 5)
 
 
+_E_NOTATION = st.tuples(st.integers(-999, 999), st.integers(-30, 30), st.sampled_from("eE"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=_E_NOTATION, im=_E_NOTATION, unit=st.sampled_from("ij"))
+def test_parse_scalar_reads_exponents_in_both_parts(re, im, unit):
+    # a sign after e or E is the exponent's, not the split of the two parts
+    (m, k, e), (m2, k2, e2) = re, im
+    text = f"{m}{e}{k:+d}{m2:+d}{e2}{k2:+d}{unit}"
+    assert parse_scalar(text) == QComplex(Fraction(m) * Fraction(10) ** k,
+                                          Fraction(m2) * Fraction(10) ** k2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.fractions(min_value=-5, max_value=5, max_denominator=40),

@@ -74,6 +74,12 @@ def test_small_order_matches_dense_eigensolver():
     assert optimal_match_distance(rs.roots, ev) < 1e-8
 
 
+def test_optimal_match_distance_is_the_least_total_cost_pairing():
+    # the pairing of least total distance (0-0, 1j-1) has largest distance
+    # sqrt 2; pairing 0-1 and 1j-0 has the smaller largest distance 1
+    assert optimal_match_distance([0, 1j], [0, 1]) == pytest.approx(2 ** 0.5, abs=1e-15)
+
+
 def test_reference_outlier_in_root_set():
     beta = BetaParam.parse("4/3")
     rs = solve_all(sparse_form(beta, 50), 50)
