@@ -273,9 +273,8 @@ def eval_sparse(cs: Sequence, n: int, t) -> tuple:
     """(f(t), f'(t)) of f = a + t**n b from the five coefficients ``cs``
     (a0, a1, b0, b1, b2), with t**(n-1) by squaring.
 
-    Generic over the arithmetic of ``t`` and ``cs``: mpf, mpc, fixed-point
-    :class:`~betaspec.numerics.Fixed` or integer balls
-    :class:`~betaspec.numerics.Ball`, each operation rounded as that
+    Generic over the arithmetic of ``t`` and ``cs``: mpf, mpc or integer
+    balls :class:`~betaspec.numerics.Ball`, each operation rounded as that
     arithmetic rounds (outward for balls).
     """
     a0, a1, b0, b1, b2 = cs

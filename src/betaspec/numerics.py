@@ -10,11 +10,11 @@ Four scalar kinds flow through the package:
   at an explicit precision in bits, never below
   :data:`MIN_PRECISION_BITS`.
 * fixed-point complexes -- :class:`Fixed`, a pair of Python integers at the
-  scale 2**-p, each operation rounded to the nearest multiple of 2**-p.  It
-  is Newton's arithmetic on the five-term form: the same operations as mpc
-  without mpmath's per-object dispatch.  Values enter by :func:`fixed_from`
-  and leave as mpf or mpc at the ambient precision.
-* complex balls -- :class:`Ball`, a :class:`Fixed` midpoint with an integer
+  scale 2**-p, with no arithmetic: Newton on the five-term form computes on
+  its bare integer pairs, each product and quotient rounded to the nearest
+  multiple of 2**-p.  Values enter by :func:`fixed_from` (an mpf read off its mantissa
+  and exponent) and leave as mpf or mpc at the ambient precision.
+* complex balls -- :class:`Ball`, a fixed-point midpoint with an integer
   radius at the same scale, rounded outward.  It is the package's one
   enclosure arithmetic: the eigensolver's inclusion disks on both routes,
   the refinement's sign change and the Rouché count.  Values enter by
@@ -209,58 +209,14 @@ def mpc_from(x) -> mp.mpc:
 class Fixed:
     """The complex number (re + i im) 2**-p, with re and im Python integers.
 
-    ``+`` and ``-`` are exact, and so is ``*`` by an int; ``*``, ``/`` and
-    ``**`` round each part to the nearest multiple of 2**-p, and keep a real
-    value (im = 0) exactly real.  These are the operations of
-    :func:`~betaspec.charpoly.eval_sparse` and of Newton's step on it, where
-    an int stands for itself in ``n * b``, ``1 - t`` and ``1 / z``.
+    A value holder with no arithmetic: :func:`~betaspec.rootfind._newton`
+    runs on its bare integer parts.
     """
 
     __slots__ = ("re", "im", "p")
 
     def __init__(self, re: int, im: int, p: int):
         self.re, self.im, self.p = re, im, p
-
-    def __add__(self, x):
-        return Fixed(self.re + x.re, self.im + x.im, self.p)
-
-    def __sub__(self, x):
-        return Fixed(self.re - x.re, self.im - x.im, self.p)
-
-    def __rsub__(self, x: int):
-        return Fixed((x << self.p) - self.re, -self.im, self.p)
-
-    def __mul__(self, x):
-        a, b, p = self.re, self.im, self.p
-        if isinstance(x, int):
-            return Fixed(a * x, b * x, p)
-        c, d, half = x.re, x.im, 1 << (p - 1)
-        return Fixed((a * c - b * d + half) >> p, (a * d + b * c + half) >> p, p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, x):
-        a, b, c, d, p = self.re, self.im, x.re, x.im, self.p
-        den = c * c + d * d  # 0 raises ZeroDivisionError
-        return Fixed(_round_div((a * c + b * d) << p, den),
-                     _round_div((b * c - a * d) << p, den), p)
-
-    def __rtruediv__(self, x: int):
-        return Fixed(x << self.p, 0, self.p) / self
-
-    def __pow__(self, k: int):
-        return _power(Fixed(1 << self.p, 0, self.p), self, k)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def abs2(self) -> int:
-        """|self|**2 exactly, at the scale 2**-2p."""
-        return self.re * self.re + self.im * self.im
-
-    def rounded(self, bits: int) -> "Fixed":
-        """Each part rounded to nearest at ``bits`` significant bits."""
-        return Fixed(_round_bits(self.re, bits), _round_bits(self.im, bits), self.p)
 
     def to_mp(self, real: bool):
         """The real part as mpf if ``real``, else the value as mpc, rounded
@@ -281,12 +237,23 @@ def fixed_from(x, p: int) -> Fixed:
 
 def _ratios(x) -> tuple:
     """The real and imaginary parts of ``x`` as (numerator, denominator)."""
-    if isinstance(x, (complex, mp.mpc, QComplex)):
-        parts = (x.re, x.im) if isinstance(x, QComplex) else (x.real, x.imag)
-    else:
-        parts = (x, 0)
-    return tuple((fraction_from_mpf(v) if isinstance(v, mp.mpf) else v).as_integer_ratio()
-                 for v in parts)
+    if isinstance(x, (mp.mpc, mp.mpf)):
+        return tuple(map(_mpf_ratio, x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)))
+    parts = ((x.re, x.im) if isinstance(x, QComplex)
+             else (x.real, x.imag) if isinstance(x, complex) else (x, 0))
+    return tuple(v.as_integer_ratio() for v in parts)
+
+
+def _mpf_ratio(v: tuple) -> tuple:
+    """The raw mpf ``v`` = (sign, man, exp, bc) as (numerator, denominator),
+    read off its parts: man is odd, so the pair is in lowest terms."""
+    sign, man, exp, _ = v
+    if not man:
+        if v != fzero:
+            raise InvalidParameterError("cannot convert non-finite mpf to Fraction")
+        return 0, 1
+    man = -int(man) if sign else int(man)
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
 class Ball:
@@ -296,7 +263,8 @@ class Ball:
     ``-``, unary ``-`` and ``*`` by an int are exact (the radii add); a
     product of balls rounds its midpoint to nearest (off by under one unit)
     and takes the radius |m1| r2 + |m2| r1 + r1 r2, each |m| and the sum
-    rounded up, plus one unit if the midpoint rounded.  These are the
+    rounded up, plus one unit if the midpoint rounded (a square takes one
+    modulus, and a zero radius skips its partner's).  These are the
     operations of :func:`~betaspec.charpoly.eval_sparse`, of Horner's rule
     and of the Rouché count, where an int stands for itself.
     """
@@ -319,10 +287,14 @@ class Ball:
         a, b, r, p = self.re, self.im, self.rad, self.p
         if isinstance(x, int):
             return Ball(a * x, b * x, r * abs(x), p)
-        c, d, s = x.re, x.im, x.rad
-        re, im, unit = a * c - b * d, a * d + b * c, 1 << p
-        rad = -(-(_abs_up(a, b) * s + _abs_up(c, d) * r + r * s) >> p)
-        rad += bool((re | im) & (unit - 1))  # the midpoint rounds
+        unit = 1 << p
+        if x is self:  # a square: one modulus
+            re, im, rad = a * a - b * b, 2 * a * b, (2 * _abs_up(a, b) + r) * r if r else 0
+        else:  # a zero radius needs no modulus of its partner
+            c, d, s = x.re, x.im, x.rad
+            re, im = a * c - b * d, a * d + b * c
+            rad = (_abs_up(a, b) * s if s else 0) + (_abs_up(c, d) * r if r else 0) + r * s
+        rad = -(-rad >> p) + bool((re | im) & (unit - 1))  # +1 if the midpoint rounds
         return Ball((re + (unit >> 1)) >> p, (im + (unit >> 1)) >> p, rad, p)
 
     __rmul__ = __mul__
@@ -374,11 +346,6 @@ def _round_div(u: int, v: int) -> int:
     return (u + (v >> 1)) // v
 
 
-def _round_bits(v: int, bits: int) -> int:
-    drop = abs(v).bit_length() - bits
-    return v if drop <= 0 else ((v + (1 << (drop - 1))) >> drop) << drop
-
-
 def polyval(hi, x) -> mp.mpc:
     """Value at ``x`` of the polynomial with coefficients ``hi``, highest
     degree first, as mpc at the ambient precision.
@@ -405,15 +372,7 @@ def _mpc_tuple(x) -> tuple:
 
 def fraction_from_mpf(x: mp.mpf) -> Fraction:
     """Exact dyadic rational value of an mpf (mpf values are m * 2**e)."""
-    if not mp.isfinite(x):
-        raise InvalidParameterError("cannot convert non-finite mpf to Fraction")
-    if x == 0:
-        return Fraction(0)
-    m = int(x.man) * (-1 if x < 0 else 1)
-    e = int(x.exp)
-    if e >= 0:
-        return Fraction(m * (1 << e))
-    return Fraction(m, 1 << (-e))
+    return Fraction(*_mpf_ratio(x._mpf_))
 
 
 def decimal_str(x, digits: int) -> str:

@@ -12,11 +12,10 @@ one zero) and of radius at most 10**-D (1 + |z|).
   than 1 and beta, are seeded from the phase equation t**n = -a(t)/b(t)
   near the unit circle and from the zeros of a and b off it, then polished
   by Newton on the five-term form at O(log n) operations per step (for
-  real beta, on the closed upper half-plane only).  Newton runs in
-  fixed-point integers (:class:`~betaspec.numerics.Fixed`) and only moves
-  the centres; the disks that certify them are bounded in integer ball
-  arithmetic (:class:`~betaspec.numerics.Ball`), midpoint and radius at a
-  fixed scale with every rounding outward, through the same evaluator.
+  real beta, on the closed upper half-plane only).  Newton runs on bare
+  fixed-point integer pairs and only moves the centres; the disks that
+  certify them are bounded in integer balls (:class:`~betaspec.numerics.Ball`,
+  every rounding outward) through the same evaluator.
   Their n disks, f's own, must also exclude the points 1 and beta; a real
   eigenvalue is returned with imaginary part exactly 0.  If the seeds are
   not n or no level certifies, the route logs why and the Aberth ladder
@@ -31,7 +30,8 @@ one zero) and of radius at most 10**-D (1 + |z|).
   that meets the real axis is moved onto it if the disks still certify.
 
 Identical inputs give identical digit strings: everything is sequential and
-deterministic.
+deterministic, and the roots are sorted by float64 keys only where those
+provably give the exact order (:func:`_float_order`).
 
 Single real roots (the outliers) are refined by the same fixed-point Newton
 on the five-term sparse form of p_n, each certified by a sign change in
@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import fone, from_rational, mpc_add, mpc_mpf_div, mpc_sub
+from mpmath.libmp import fone, from_rational, fzero, mpc_add, mpc_mpf_div, mpc_sub, to_float
 
 from .errors import (
     ConvergenceFailureError,
@@ -61,6 +61,7 @@ from .errors import (
 from .charpoly import PrecPoly, SparseForm, charpoly_closed_form, eval_dense, eval_sparse
 from .matrices import BetaParam
 from .numerics import (
+    Fixed,
     ball_from,
     decimal_str,
     fixed_from,
@@ -302,9 +303,22 @@ def _disjoint(zeros, rho) -> tuple[bool, float]:
 
 
 def _within(zeros, rho, target_digits: int) -> bool:
-    """True iff every radius is at most 10**-target_digits (1 + |z|)."""
+    """True iff every radius is at most 10**-target_digits (1 + |z|).
+
+    A root is decided in float64 when its radius is below half or above
+    twice the float64 bound (each is within a few ulps, far inside that
+    factor); otherwise, and always once 10**-D is below float64's least
+    normal number, at the ambient precision."""
     tol = mp.mpf(10) ** (-target_digits)
-    return all(r <= tol * (1 + abs(z)) for z, r in zip(zeros, rho))
+    ftol = 10.0 ** -target_digits if target_digits < 308 else 0.0
+    for z, r in zip(zeros, rho):
+        bound, rf = ftol * (1 + abs(complex(z))), float(r)
+        if 0 < bound < math.inf and (rf < bound / 2 or rf > 2 * bound):
+            if rf > 2 * bound:
+                return False
+        elif not r <= tol * (1 + abs(z)):
+            return False
+    return True
 
 
 def _dense_disks(poly: PrecPoly, roots: list) -> list:
@@ -335,14 +349,47 @@ def _real_centres(poly: PrecPoly, z: list, rho: list, target_digits: int):
 
 
 def _root_set(beta, roots, radii, prec, iterations, target_digits) -> RootSet:
-    """The certified roots as mpc, sorted by argument, as a :class:`RootSet`."""
+    """The certified roots as mpc, sorted by the key (arg z, |z|) at
+    prec + 32 bits (in float64 by :func:`_float_order` where it decides)."""
     with with_precision(prec + 32):
         roots = [mp.mpc(z) for z in roots]
-        order = sorted(range(len(roots)), key=lambda j: (mp.arg(roots[j]), abs(roots[j])))
+        order = _float_order(roots)
+        if order is None:
+            order = sorted(range(len(roots)), key=lambda j: (mp.arg(roots[j]), abs(roots[j])))
     return RootSet(roots=tuple(roots[j] for j in order),
                    radii=tuple(radii[j] for j in order),
                    precision_used=prec, iterations=iterations,
                    target_digits=target_digits, beta=beta)
+
+
+def _float_order(roots) -> list | None:
+    """The order of the key (arg z, |z|) of mpc ``roots`` from float64 keys
+    (atan2, hypot), a root with imaginary part exactly 0 keyed at exactly 0
+    or pi as mp.arg keys it; None where float64 cannot decide it.
+
+    Each part is within one ulp of its mpf, so each key is within a few ulps
+    (about 1e-15) of the exact one, and two adjacent keys are in the exact
+    order if their angles differ by more than 1e-12, or, for two exactly
+    real roots on one side of 0, their moduli by more than 1e-12 of the
+    larger.  None if some adjacent pair is neither, or if a nonzero part is
+    not a normal float64 (subnormal, underflowed or not finite)."""
+    keys, real = [], []
+    for z in roots:
+        re, im = z._mpc_
+        x, y = to_float(re), to_float(im)
+        if any(v != fzero and not 2.0 ** -1022 <= abs(f) < math.inf
+               for v, f in ((re, x), (im, y))):
+            return None
+        real.append(im == fzero)
+        keys.append(((0.0 if x >= 0 else math.pi) if real[-1] else math.atan2(y, x),
+                     math.hypot(x, y)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for j, k in zip(order, order[1:]):
+        (t1, r1), (t2, r2) = keys[j], keys[k]
+        if t2 - t1 <= 1e-12 and not (real[j] and real[k] and t1 == t2
+                                     and r2 - r1 > 1e-12 * r2):
+            return None
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +465,13 @@ def _newton(cs, n: int, t, prec: int, x=None):
     p_n = f / ((1 - t)(1 - x t)), with the spurious zeros 1 and beta divided
     out of the step.
 
-    It runs in fixed-point integers (:class:`~betaspec.numerics.Fixed`) at
-    the scale 2**-(prec + 32): ``cs`` (a0, a1, b0, b1, b2) and ``x`` come
-    from :func:`~betaspec.numerics.fixed_from` at that scale, and the settle
-    test is decided exactly in integers.  Only the iterate comes from here;
-    the certificates that accept it are bounded in outward-rounded balls
-    (:func:`_inclusion_disks`, :func:`_sign_change`).  Each
-    step is rounded to prec + 32 significant bits, as an mpc step was: its
-    bits below that are rounding noise, and without them a large step
+    ``cs`` (a0, a1, b0, b1, b2) and ``x`` are :class:`~betaspec.numerics.Fixed`
+    at the scale 2**-(prec + 32); the evaluation (:func:`_eval_fixed`), the
+    step and the exact settle test run on their (re, im) integer pairs, with
+    no object per operation.  The certificates that accept the iterate are
+    bounded in balls (:func:`_inclusion_disks`, :func:`_sign_change`).
+    Each step is rounded to prec + 32 significant bits, as an mpc step was:
+    its bits below that are rounding noise, and without them a large step
     leaves the iterate on a coarse dyadic grid, from which Newton lands on a
     short dyadic zero (such as -3/2) exactly.
 
@@ -437,28 +483,83 @@ def _newton(cs, n: int, t, prec: int, x=None):
     p = prec + 32
     real = isinstance(t, (float, mp.mpf))
     t = fixed_from(t, p)
-    one = 1 << p
+    tr, ti = t.re, t.im
+    pairs = [(c.re, c.im) for c in cs]
+    one, half = 1 << p, 1 << (p - 1)
     settled = False
     for steps in range(1, MAX_NEWTON_STEPS_PER_LEVEL + 1):
-        f, df = eval_sparse(cs, n, t)
-        if not f:
+        fr, fi, dr, di = _eval_fixed(pairs, n, tr, ti, p)
+        if not (fr or fi):
             settled = True
             break
-        try:
-            step = (f / df if x is None
-                    else 1 / (df / f + 1 / (1 - t) + x / (1 - x * t))).rounded(p)
-        except ZeroDivisionError:
+        if x is None:
+            q = _quotient_fixed(fr, fi, dr, di, p)
+        else:  # 1 / (f'/f + 1/(1 - t) + x/(1 - x t))
+            xtr, xti = (x.re * tr - x.im * ti + half) >> p, (x.re * ti + x.im * tr + half) >> p
+            terms = (_quotient_fixed(dr, di, fr, fi, p), _quotient_fixed(one, 0, one - tr, -ti, p),
+                     _quotient_fixed(x.re, x.im, one - xtr, -xti, p))
+            q = None if None in terms else _quotient_fixed(one, 0, *map(sum, zip(*terms)), p)
+        if q is None:
             break
-        t = t - step
+        sr, si = _round_bits(q[0], p), _round_bits(q[1], p)
+        tr, ti = tr - sr, ti - si
         # |step| <= 2**-(prec - 32) (1 + |t|), times 2**p: with
         # A = 2**(2(prec - 32)) |step|**2 and B = |t|**2 (scaled by 2**2p),
         # sqrt A <= 2**p + sqrt B, squared twice
-        t2 = t.abs2()
-        excess = (step.abs2() << 2 * (prec - 32)) - t2 - one * one
+        t2 = tr * tr + ti * ti
+        excess = ((sr * sr + si * si) << 2 * (prec - 32)) - t2 - one * one
         if excess <= 0 or excess * excess <= 4 * one * one * t2:
             settled = True
             break
-    return t.to_mp(real and not t.im), steps, settled
+    return Fixed(tr, ti, p).to_mp(real and not ti), steps, settled
+
+
+def _eval_fixed(cs, n: int, tr: int, ti: int, p: int) -> tuple:
+    """(Re f, Im f, Re f', Im f') at t = (tr + i ti) 2**-p, f = a + t**n b,
+    for ``cs`` the five coefficients as (re, im) integer pairs at that scale.
+
+    The operations of :func:`~betaspec.charpoly.eval_sparse`, t**(n-1) in
+    :func:`~betaspec.numerics._power`'s order: sums are exact, and each
+    product (a square as a**2 - b**2 and 2ab) is rounded to the nearest
+    multiple of 2**-p, ties up, so a real value stays real."""
+    (a0r, a0i), (a1r, a1i), (b0r, b0i), (b1r, b1i), (b2r, b2i) = cs
+    half = 1 << (p - 1)
+    k, ur, ui, wr, wi = n - 1, tr, ti, None, 0  # base u; t**(n-1) in w
+    while k:
+        if k & 1:  # the first product is by 1, which is exact
+            wr, wi = ((ur, ui) if wr is None else
+                      ((wr * ur - wi * ui + half) >> p, (wr * ui + wi * ur + half) >> p))
+        k >>= 1
+        if k:
+            ur, ui = (ur * ur - ui * ui + half) >> p, (2 * ur * ui + half) >> p
+    wr = 1 << p if wr is None else wr  # n = 1
+    sr, si = (wr * tr - wi * ti + half) >> p, (wr * ti + wi * tr + half) >> p  # t**n
+    br, bi = b2r * tr - b2i * ti, b2r * ti + b2i * tr  # b2 t, before rounding
+    ur, ui = b1r + ((br + half) >> p), b1i + ((bi + half) >> p)
+    ur, ui = b0r + ((ur * tr - ui * ti + half) >> p), b0i + ((ur * ti + ui * tr + half) >> p)
+    fr = a0r + ((a1r * tr - a1i * ti + half) >> p) + ((sr * ur - si * ui + half) >> p)
+    fi = a0i + ((a1r * ti + a1i * tr + half) >> p) + ((sr * ui + si * ur + half) >> p)
+    ur = (n + 1) * b1r + (((n + 2) * br + half) >> p)
+    ui = (n + 1) * b1i + (((n + 2) * bi + half) >> p)
+    ur, ui = n * b0r + ((ur * tr - ui * ti + half) >> p), n * b0i + ((ur * ti + ui * tr + half) >> p)
+    return (fr, fi, a1r + ((wr * ur - wi * ui + half) >> p),
+            a1i + ((wr * ui + wi * ur + half) >> p))
+
+
+def _quotient_fixed(a: int, b: int, c: int, d: int, p: int):
+    """(a + i b) / (c + i d) as an integer pair at the scale 2**-p, each part
+    rounded to nearest (ties up); None if c = d = 0."""
+    den = c * c + d * d
+    if not den:
+        return None
+    h = den >> 1
+    return (((a * c + b * d) << p) + h) // den, (((b * c - a * d) << p) + h) // den
+
+
+def _round_bits(v: int, bits: int) -> int:
+    """v rounded to nearest at ``bits`` significant bits (ties up)."""
+    drop = abs(v).bit_length() - bits
+    return v if drop <= 0 else ((v + (1 << (drop - 1))) >> drop) << drop
 
 
 def _inclusion_disks(form: SparseForm, roots: list):

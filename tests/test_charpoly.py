@@ -31,7 +31,8 @@ from betaspec import (
     symbolic_t,
 )
 from betaspec.charpoly import eval_sparse
-from betaspec.numerics import QComplex, fixed_from, mpc_from, mpf_from, polyval
+from betaspec.numerics import QComplex, _power, fixed_from, mpc_from, mpf_from, polyval
+from betaspec.rootfind import _eval_fixed
 
 BETAS = [BetaParam.parse(s) for s in ("4/3", "3/2", "2", "3", "5")]
 
@@ -360,9 +361,10 @@ def test_sparse_eval_matches_dense_horner(beta, n, t):
        im=st.fractions(min_value=-3, max_value=3, max_denominator=1000),
        p=st.sampled_from([288, 544]))
 def test_sparse_eval_on_fixed_point_matches_mpc(beta, n, re, im, p):
-    # The same t (a multiple of 2**-p, |t| <= 3) on both arithmetics.  mpc
-    # rounds each operation relative to its result and Fixed to an absolute
-    # 2**-p, so a power of t below 1 costs Fixed as much as one at |t| = 1.
+    # The same t (a multiple of 2**-p, |t| <= 3) on both arithmetics: mpc, and
+    # Newton's integer pairs (rootfind._eval_fixed).  mpc rounds each
+    # operation relative to its result and the pairs to an absolute 2**-p,
+    # so a power of t below 1 costs the pairs as much as one at |t| = 1.
     # With the sum of |term| taken at r = max(1, |t|), each evaluation is off
     # the exact value by at most 4 (n + 4) 2**-p times that sum (a running-
     # error bound; complex products round two parts), so the two differ by
@@ -370,7 +372,8 @@ def test_sparse_eval_on_fixed_point_matches_mpc(beta, n, re, im, p):
     assume(re * re + im * im <= 9)
     form = sparse_form(beta, n)
     t = fixed_from(QComplex(re, im), p)
-    f, df = eval_sparse([fixed_from(c, p) for c in form.coeffs], n, t)
+    cs = [(c.re, c.im) for c in (fixed_from(c, p) for c in form.coeffs)]
+    fr, fi, dfr, dfi = _eval_fixed(cs, n, t.re, t.im, p)
     with mp.workprec(p + 8):
         tv = t.to_mp(real=False)  # exact: |t| < 4
     with mp.workprec(p):
@@ -381,12 +384,49 @@ def test_sparse_eval_on_fixed_point_matches_mpc(beta, n, re, im, p):
         absf = a0 + a1 * r + r ** n * (b0 + b1 * r + b2 * r * r)
         absdf = a1 + r ** (n - 1) * (n * b0 + (n + 1) * b1 * r + (n + 2) * b2 * r * r)
         bound = 8 * (n + 4) * mp.mpf(2) ** -p
-        assert abs(_exact(f, p) - f_mp) <= bound * absf
-        assert abs(_exact(df, p) - df_mp) <= bound * absdf
+        assert abs(_exact(fr, fi, p) - f_mp) <= bound * absf
+        assert abs(_exact(dfr, dfi, p) - df_mp) <= bound * absdf
 
 
-def _exact(z, p):
-    return mp.mpc(mp.ldexp(z.re, -p), mp.ldexp(z.im, -p))
+def _exact(re, im, p):
+    return mp.mpc(mp.ldexp(re, -p), mp.ldexp(im, -p))
+
+
+class _FixedPoint:
+    # fixed-point complex objects with the rounding Newton's integer pairs
+    # reproduce: sums and products by an int exact, every other product's
+    # parts rounded to the nearest multiple of 2**-p, ties up
+    def __init__(self, re, im, p):
+        self.re, self.im, self.p = re, im, p
+
+    def __add__(self, x):
+        return _FixedPoint(self.re + x.re, self.im + x.im, self.p)
+
+    def __mul__(self, x):
+        if isinstance(x, int):
+            return _FixedPoint(self.re * x, self.im * x, self.p)
+        (a, b), (c, d), unit = (self.re, self.im), (x.re, x.im), 2 ** self.p
+        return _FixedPoint((a * c - b * d + unit // 2) // unit,
+                           (a * d + b * c + unit // 2) // unit, self.p)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return _power(_FixedPoint(2 ** self.p, 0, self.p), self, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(beta=SPARSE_BETAS, n=st.integers(min_value=1, max_value=80),
+       re=st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+       im=st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+       p=st.sampled_from([288, 544]))
+def test_integer_pair_evaluation_rounds_as_fixed_point_objects(beta, n, re, im, p):
+    # Newton's integer pairs give the exact integers of eval_sparse run on
+    # fixed-point objects, operation by operation
+    t = fixed_from(QComplex(re, im), p)
+    cs = [fixed_from(c, p) for c in sparse_form(beta, n).coeffs]
+    f, df = eval_sparse([_FixedPoint(c.re, c.im, p) for c in cs], n, _FixedPoint(t.re, t.im, p))
+    assert _eval_fixed([(c.re, c.im) for c in cs], n, t.re, t.im, p) == (f.re, f.im, df.re, df.im)
 
 
 def test_sparse_form_is_closed_form_in_x():

@@ -73,6 +73,15 @@ REFERENCE_OUTPUTS = (
     # a real beta spelled complex is real: the bytes of --beta=3
     (("matrix", "--beta=3+0i", "--n", "5", "--digits", "12", "--out", "{out}/m.csv"),
      "m.csv", "76f6fb0716d53a781d481c162d7e85cfea8c55e26567295c41698dee77d56922"),
+    # the residual column, precision_bits and the argument order: a complex
+    # spectrum, a 1024-bit one, and n = 400 with its two real outliers
+    (("eigs", "--beta=3/2+1i", "--n", "50", "--format", "json", "--out", "{out}/eigs.json"),
+     "eigs.json", "33cd220778640efcfe2a207187aa9f11e87a65edb460159e8e6e746caf665e40"),
+    (("eigs", "--beta=4/3", "--n", "70", "--digits", "200", "--format", "json",
+      "--out", "{out}/eigs.json"),
+     "eigs.json", "907011bd2ddf683039a763ff0ed090f49c4e7283bf2b6654853697991677b98a"),
+    (("eigs", "--beta=4/3", "--n", "400", "--out", "{out}/eigs.csv"),
+     "eigs.csv", "44d5aff161e1ecad204e42df94303e556216261e26da5cbb80f1554ce1126c33"),
 )
 
 # Commands run in a fresh process, and whether they load numpy.  Only the
@@ -610,7 +619,8 @@ def test_order_below_the_least_is_a_usage_error(tmp_path, capsys, argv):
                               "eigs-sparse", "eigs-aberth", "cluster", "charpoly-exact",
                               "charpoly-json", "charpoly-complex", "eigs-complex-json",
                               "matrix-complex-json", "charpoly-decimal",
-                              "matrix-real-spelled-complex"])
+                              "matrix-real-spelled-complex", "eigs-complex-n50-json",
+                              "eigs-200-digits-json", "eigs-n400"])
 def test_reference_outputs_unchanged(tmp_path, capsys, argv, name, digest):
     assert run([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

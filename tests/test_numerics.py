@@ -1,7 +1,9 @@
 """Scalar layer: precision contracts, exact parsing, rational oracles."""
+import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from betaspec import (
     parse_scalar,
     with_precision,
 )
-from betaspec.numerics import mpc_from, mpf_from, polyval
+from betaspec.numerics import Ball, ball_from, fixed_from, mpc_from, mpf_from, polyval
 
 
 def test_min_precision_enforced():
@@ -213,3 +215,60 @@ def test_polyval_matches_mpmath_polyval(data, bits, length, complex_coeffs, comp
         assert got._mpc_ == expected._mpc_
     else:
         assert got.real._mpf_ == expected._mpf_ and got.imag == 0
+
+
+_MANTISSAS = st.integers(min_value=-2 ** 400, max_value=2 ** 400)
+_EXPONENTS = st.integers(min_value=-900, max_value=300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m1=_MANTISSAS, e1=_EXPONENTS, m2=_MANTISSAS, e2=_EXPONENTS,
+       p=st.sampled_from([64, 288, 552]))
+def test_conversions_of_mpf_and_mpc_match_the_fraction_route(m1, e1, m2, e2, p):
+    # ball_from and fixed_from read an mpf's mantissa and exponent directly;
+    # each gives the integers and radius of the mpf's exact Fraction value,
+    # for both signs of mantissa and exponent, zero included
+    x, y = (mp.make_mpf(from_man_exp(m, e)) for m, e in ((m1, e1), (m2, e2)))
+    fx, fy = (Fraction(m) * Fraction(2) ** e for m, e in ((m1, e1), (m2, e2)))
+    assert fraction_from_mpf(x) == fx and fraction_from_mpf(y) == fy
+    for value, exact in ((x, fx), (mp.make_mpc((x._mpf_, y._mpf_)), QComplex(fx, fy))):
+        f, g = fixed_from(value, p), fixed_from(exact, p)
+        assert (f.re, f.im) == (g.re, g.im)
+        b, c = ball_from(value, p), ball_from(exact, p)
+        assert (b.re, b.im, b.rad) == (c.re, c.im, c.rad)
+
+
+@pytest.mark.parametrize("value", [mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf), mp.mpc(mp.nan, 0)])
+def test_conversions_refuse_a_non_finite_mpf(value):
+    for convert in (fixed_from, ball_from):
+        with pytest.raises(InvalidParameterError):
+            convert(value, 64)
+
+
+def _general_product(x, y):
+    # the ball product's general formula: midpoint rounded to nearest and
+    # radius |m1| r2 + |m2| r1 + r1 r2, each modulus and the sum rounded up,
+    # plus one unit if the midpoint rounded
+    def abs_up(a, b):
+        return math.isqrt(a * a + b * b - 1) + 1 if a or b else 0
+
+    a, b, r, c, d, s, p = x.re, x.im, x.rad, y.re, y.im, y.rad, x.p
+    re, im, unit = a * c - b * d, a * d + b * c, 1 << p
+    rad = -(-(abs_up(a, b) * s + abs_up(c, d) * r + r * s) >> p) + bool((re | im) % unit)
+    return (re + unit // 2) >> p, (im + unit // 2) >> p, rad
+
+
+_PARTS = st.integers(min_value=-2 ** 140, max_value=2 ** 140)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_PARTS, b=_PARTS, r=st.integers(min_value=0, max_value=2 ** 70),
+       c=_PARTS, d=_PARTS, s=st.integers(min_value=0, max_value=2 ** 70),
+       p=st.sampled_from([64, 136]))
+def test_ball_square_and_zero_radius_products_match_the_general_formula(a, b, r, c, d, s, p):
+    # a square takes one modulus and a zero radius skips its partner's:
+    # both give the integers of the general formula
+    x, y, x0, y0 = Ball(a, b, r, p), Ball(c, d, s, p), Ball(a, b, 0, p), Ball(c, d, 0, p)
+    for u, v in ((x, x), (x0, x0), (x, y), (x, y0), (x0, y), (x0, y0)):
+        w = u * v
+        assert (w.re, w.im, w.rad) == _general_product(u, v)

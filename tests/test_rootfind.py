@@ -1,6 +1,7 @@
 """Root engine: certified multiprecision roots against independent checks."""
 import json
 import logging
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -263,6 +264,97 @@ def test_sorted_by_argument():
             else:
                 args.append(mp.atan2(z.imag, z.real))
         assert all(args[i] <= args[i + 1] for i in range(len(args) - 1))
+
+
+def _exact_order(roots, prec):
+    # the key the float64 order must reproduce: (arg z, |z|) at prec + 32 bits
+    with mp.workprec(prec + 32):
+        return sorted(range(len(roots)), key=lambda j: (mp.arg(roots[j]), abs(roots[j])))
+
+
+_TINY = mp.mpf(2) ** -1200  # below float64's least subnormal, 2**-1074
+NEAR_TIES = {  # each listed against the exact order where float64 ties
+    # exactly real roots of one argument, 2**-200 apart in modulus
+    "real": [mp.mpc(3 + mp.mpf(2) ** -200), mp.mpc(3), mp.mpc(0), mp.mpc(-2 - mp.mpf(2) ** -200),
+             mp.mpc(-2), mp.mpc(mp.mpf(1) / 3)],
+    # conjugate pairs at angles within 1e-20 and 1e-13 of +-pi, and reals at pi
+    "near-pi": [mp.mpc(-1), mp.mpc(-1, mp.mpf(10) ** -20), mp.mpc(-1, -mp.mpf(10) ** -20),
+                mp.mpc(-2, mp.mpf(10) ** -13), mp.mpc(-2, -mp.mpf(10) ** -13), mp.mpc(-3)],
+    # imaginary parts that underflow float64, next to real roots of angle 0 and pi
+    "underflow": [mp.mpc(2, _TINY), mp.mpc(2, -_TINY), mp.mpc(-2), mp.mpc(-2, _TINY),
+                  mp.mpc(-2, -_TINY), mp.mpc(2), mp.mpc(1)],
+    # and with no other root near their angles
+    "underflow-alone": [mp.mpc(2, _TINY), mp.mpc(-2, -_TINY), mp.mpc(0, 1), mp.mpc(1, 1)],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=SPARSE_BETAS, n=st.integers(min_value=1, max_value=60),
+       ties=st.one_of(st.just([]), st.sampled_from(sorted(NEAR_TIES)).flatmap(
+           lambda key: st.permutations(NEAR_TIES[key]))),
+       shift=st.integers(min_value=0, max_value=60))
+def test_float_sort_gives_the_exact_order(beta, n, ties, shift):
+    # a certified sparse-route spectrum comes in the exact (arg, |z|) order;
+    # that spectrum rotated, with or without constructed near-ties added in
+    # any order, sorts by _root_set into the exact order too
+    rs = _solve_sparse(sparse_form(beta, n), 30)
+    assume(rs is not None)
+    roots = list(rs.roots)
+    assert _exact_order(roots, rs.precision_used) == list(range(n))
+    k = shift % n
+    roots = roots[k:] + roots[:k] + ties
+    out = rootfind._root_set(None, roots, [0] * len(roots), rs.precision_used, 0, 30)
+    assert [z._mpc_ for z in out.roots] == [
+        roots[j]._mpc_ for j in _exact_order(roots, rs.precision_used)]
+
+
+@pytest.mark.parametrize("ties", sorted(NEAR_TIES))
+def test_sort_falls_back_to_the_exact_key_on_near_ties(ties, monkeypatch):
+    # float64 cannot order these, so the whole spectrum takes the exact key
+    calls = []
+    arg = mp.arg
+    monkeypatch.setattr(rootfind.mp, "arg", lambda z: calls.append(z) or arg(z))
+    roots = NEAR_TIES[ties]
+    assert rootfind._float_order(roots) is None
+    out = rootfind._root_set(None, roots, [0] * len(roots), 256, 0, 30)
+    assert len(calls) >= len(roots)
+    assert [z._mpc_ for z in out.roots] == [roots[j]._mpc_ for j in _exact_order(roots, 256)]
+
+
+@pytest.mark.parametrize("beta_text", ["5", "3", "4/3", "3/2+1i"])
+def test_float_sort_decides_the_figure_spectra(beta_text):
+    # no near-tie in a figure spectrum: float64 keys decide its whole order
+    rs = solve_all(sparse_form(BetaParam.parse(beta_text), 100), 30)
+    assert rootfind._float_order(list(rs.roots)) == list(range(100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(re=st.fractions(min_value=-10 ** 6, max_value=10 ** 6),
+       im=st.fractions(min_value=-10 ** 6, max_value=10 ** 6),
+       digits=st.sampled_from([1, 30, 200, 307, 308, 700]),
+       factor=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+       k=st.integers(min_value=-60, max_value=60))
+def test_within_decides_as_the_multiprecision_test(re, im, digits, factor, k):
+    # radii at the bound, and at half and twice it, each scaled by
+    # 1 + k 2**-60: the float64 decision is the one at the ambient precision
+    with with_precision(512):
+        z = mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
+        bound = mp.mpf(10) ** -digits * (1 + abs(z))
+        r = bound * factor.numerator / factor.denominator * (1 + k * mp.mpf(2) ** -60)
+        assert rootfind._within([z], [r], digits) == (r <= bound)
+
+
+@pytest.mark.parametrize("beta_text,n,digits,bits", [
+    ("13/9", 3, 87, 256), ("-3/2", 2, 87, 256), ("4/3", 2, 164, 512)])
+def test_a_level_below_the_ladder_level_can_certify(beta_text, n, digits, bits):
+    # 87 digits need 289 bits (ladder level 512) and 164 digits 545 bits
+    # (ladder level 1024), yet these disks certify one level lower: a level
+    # below ladder_level(target) is not bound to fail.  (At these orders the
+    # sparse route declines on the seed count, and the Aberth ladder certifies.)
+    assert rootfind.ladder_level(digits * math.log2(10)) == 2 * bits
+    rs = solve_all(sparse_form(BetaParam.parse(beta_text), n), digits)
+    assert rs.precision_used == bits
+    _assert_disks(rs)
 
 
 def test_solver_logs_one_debug_record_per_level(caplog):
